@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import approx, core, gen, robust
@@ -47,7 +48,7 @@ class ResultRecord:
     value: int
     solution: tuple[int, ...]
     witness_scenario: tuple[int, ...] | None
-    epsilon: float | None
+    epsilon: Fraction | float | None
     scaling_factor: int
     wall_ms: float | None
 
@@ -71,7 +72,7 @@ def dispatch_solve(
     instance: Instance,
     problem: str,
     algorithm: str,
-    epsilon: float | None = None,
+    epsilon: Fraction | float | None = None,
     adversarial_ties: bool = False,
     guard: int | None = None,
 ) -> tuple[int, tuple[int, ...], tuple[int, ...] | None]:
@@ -85,7 +86,7 @@ def dispatch_solve(
     discrete = isinstance(u, DiscreteScenarioSet)
     ties = approx.TIE_ADVERSARIAL if adversarial_ties else approx.TIE_CANONICAL
 
-    def need_epsilon() -> float:
+    def need_epsilon() -> Fraction | float:
         if epsilon is None:
             raise ValidationError("--epsilon is required for the fptas algorithm")
         return epsilon
@@ -186,7 +187,7 @@ def render_record(record: ResultRecord, fmt: str, timings: bool) -> str:
         ("value", str(record.value)),
         ("solution", _fmt_members(record.solution)),
         ("witness", _fmt_vector(record.witness_scenario)),
-        ("epsilon", "-" if record.epsilon is None else repr(record.epsilon)),
+        ("epsilon", "-" if record.epsilon is None else repr(float(record.epsilon))),
         ("scaling_factor", str(record.scaling_factor)),
     ]
     if timings:
@@ -534,6 +535,21 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+def _epsilon_arg(text: str) -> Fraction | float:
+    """The typed epsilon as an exact fraction: '0.1' is 1/10, not the double
+    nearest to it.  Text Fraction rejects ('nan', 'inf') is parsed as a float,
+    and text neither accepts is an argparse usage error.
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "delimited"), default="table",
@@ -560,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="path to an instance file")
     p_solve.add_argument("--problem", choices=PROBLEMS, required=True)
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_solve.add_argument("--epsilon", type=float, default=None,
+    p_solve.add_argument("--epsilon", type=_epsilon_arg, default=None,
                          help="accuracy parameter for fptas")
     p_solve.add_argument("--adversarial-ties", action="store_true",
                          help="explore surrogate ties and report the worst one")
@@ -597,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problem", choices=PROBLEMS, required=True)
     p_bench.add_argument("--algorithms", required=True,
                          help="comma-separated algorithm names")
-    p_bench.add_argument("--epsilon", type=float, default=None)
+    p_bench.add_argument("--epsilon", type=_epsilon_arg, default=None)
     p_bench.add_argument("--adversarial-ties", action="store_true")
     p_bench.add_argument("--out", default=None, help="also write a tab-delimited file")
     _add_common_flags(p_bench)

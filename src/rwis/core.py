@@ -19,19 +19,29 @@ DEFAULT_ENUMERATION_GUARD = 20
 GUARD_ENV_VAR = "RWIS_GUARD_N"
 
 
+def _resolve_env_int(value: int | None, env_var: str, default: int) -> int:
+    """Explicit argument, then the integer in `env_var`, then `default`."""
+    if value is not None:
+        return value
+    env = os.environ.get(env_var)
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"{env_var} must be an integer, got {env!r}") from None
+
+
 def resolve_guard(guard: int | None, default: int = DEFAULT_ENUMERATION_GUARD) -> int:
     """Effective enumeration guard: explicit argument, then RWIS_GUARD_N, then default."""
-    if guard is not None:
-        return guard
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{GUARD_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return default
+    return _resolve_env_int(guard, GUARD_ENV_VAR, default)
+
+
+def _check_enumeration_guard(n: int, guard: int | None) -> None:
+    """Refuse an exhaustive walk over more vertices than the enumeration guard."""
+    limit = resolve_guard(guard)
+    if n > limit:
+        raise GuardError(f"family size {n} exceeds enumeration guard {limit}")
 
 
 @dataclass(frozen=True, order=True)
@@ -195,10 +205,8 @@ def enumerate_independent_sets(
     The empty set comes first.  Guarded: refuses families larger than the
     enumeration guard (default 20 vertices) since the count can reach 2^n.
     """
-    limit = resolve_guard(guard)
     n = len(fam)
-    if n > limit:
-        raise GuardError(f"family size {n} exceeds enumeration guard {limit}")
+    _check_enumeration_guard(n, guard)
     masks = _conflict_masks(fam)
 
     def rec(start: int, chosen: list[int], blocked: int) -> Iterator[tuple[int, ...]]:

@@ -9,15 +9,14 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import core
-from .core import IntervalFamily, check_members, resolve_guard
-from .errors import FrontierCapError, GuardError, ValidationError
+from .core import IntervalFamily, check_members
+from .errors import FrontierCapError, ValidationError
 from .scenarios import DiscreteScenarioSet, IntervalUncertainty, worst_case_scenario
 
 DEFAULT_FRONTIER_CAP = 5_000_000
@@ -25,17 +24,8 @@ FRONTIER_CAP_ENV_VAR = "RWIS_FRONTIER_CAP"
 
 
 def resolve_frontier_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(FRONTIER_CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{FRONTIER_CAP_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_FRONTIER_CAP
+    """Effective frontier cap: explicit argument, then RWIS_FRONTIER_CAP, then default."""
+    return core._resolve_env_int(cap, FRONTIER_CAP_ENV_VAR, DEFAULT_FRONTIER_CAP)
 
 
 @dataclass(frozen=True)
@@ -314,10 +304,8 @@ def _sets_with_sums(
     Lexicographic member order, empty set first; sums are maintained
     incrementally along the recursion.
     """
-    limit = resolve_guard(guard)
     n = len(fam)
-    if n > limit:
-        raise GuardError(f"family size {n} exceeds enumeration guard {limit}")
+    core._check_enumeration_guard(n, guard)
     masks = core._conflict_masks(fam)
     k = len(columns)
     sums = [0] * k
@@ -378,21 +366,62 @@ def solve_regret_interval_exact(
     """Exact min-max regret under range uncertainty by enumerating solutions.
 
     The problem is NP-hard, so this is a guarded desk-scale solver: every
-    independent set is scored by its worst-case extreme scenario (members
-    low, others high), which requires one deterministic solve per set.
+    independent set X is scored by its worst-case extreme scenario (members
+    low, others high).  The walk decides the intervals in right-endpoint
+    order, taking interval pos only when the last taken one ends before it
+    starts (position <= p(pos)), and extends the right-endpoint DP of that
+    scenario by one entry per decision: best[pos+1] = max(best[pos],
+    best[p(pos)] + w), with w the lower bound if taken, the upper bound if
+    skipped.  Sets sharing a prefix of decisions share that prefix of the DP,
+    and a leaf's regret is best[n] minus the lower bounds taken.  The walk
+    keeps an explicit stack, so its depth n does not touch the recursion
+    limit.  Among optimal sets the lexicographically smallest is returned.
     """
     _require_same_size(fam, u.n)
-    best: RegretReport | None = None
-    lower, upper = u.lower, u.upper
-    for members in core.enumerate_independent_sets(fam, guard):
-        chosen = set(members)
-        sx = tuple(
-            lower[i] if (i + 1) in chosen else upper[i] for i in range(u.n)
-        )
-        regret = core.max_weight_is(fam, sx)[1] - sum(lower[i - 1] for i in members)
-        if best is None or regret < best.regret_value:
-            best = RegretReport(members, regret, sx)
-    return best
+    n = len(fam)
+    core._check_enumeration_guard(n, guard)
+    order, preds = core._prepared(fam)
+    low = [u.lower[i] for i in order]
+    up = [u.upper[i] for i in order]
+    best = [0] * (n + 1)
+    # per position: last taken position before it, lower sum before it
+    last_before = [0] * n
+    sum_before = [0] * n
+    chosen: list[int] = []  # taken positions, increasing
+    best_regret: int | None = None
+    best_members: tuple[int, ...] = ()
+    pos = last = lower_sum = 0
+    while True:
+        while pos < n:  # skip every remaining position
+            last_before[pos] = last
+            sum_before[pos] = lower_sum
+            skip = best[pos]
+            take = best[preds[pos]] + up[pos]
+            best[pos + 1] = take if take > skip else skip
+            pos += 1
+        regret = best[n] - lower_sum
+        if best_regret is None or regret <= best_regret:
+            members = tuple(sorted(order[p] + 1 for p in chosen))
+            if best_regret is None or (regret, members) < (best_regret, best_members):
+                best_regret, best_members = regret, members
+        # back up to the deepest skipped position that may still be taken
+        pos -= 1
+        while pos >= 0:
+            if chosen and chosen[-1] == pos:
+                chosen.pop()
+            elif last_before[pos] <= preds[pos]:
+                break
+            pos -= 1
+        if pos < 0:
+            break
+        chosen.append(pos)
+        last = pos + 1
+        lower_sum = sum_before[pos] + low[pos]
+        skip = best[pos]
+        take = best[preds[pos]] + low[pos]
+        best[pos + 1] = take if take > skip else skip
+        pos += 1
+    return RegretReport(best_members, best_regret, worst_case_scenario(u, best_members))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +434,7 @@ def _as_positive_fraction(eps) -> Fraction:
     except (TypeError, ValueError):
         raise ValidationError(f"epsilon must be a positive number, got {eps!r}") from None
     if f <= 0:
-        raise ValidationError(f"epsilon must be positive, got {eps!r}")
+        raise ValidationError(f"epsilon must be positive, got {eps}")
     return f
 
 

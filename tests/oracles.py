@@ -130,3 +130,41 @@ def brute_cover_multiplicity(graph, budget):
         counts = Counter(pick)
         best = max(best, min(counts[k] + counts[l] for k, l in graph.edges))
     return best
+
+
+def left_scan_opt(fam, weights):
+    """Deterministic optimum (value only) by a left-endpoint recursion.
+
+    Independent of the library's right-endpoint DP: intervals are ordered by
+    start, g[i] is the best weight using intervals i.. of that order, and
+    taking interval i continues at the first interval that starts after it
+    ends, found by a direct scan.
+    """
+    ivs = fam.intervals
+    order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo)
+    g = [0] * (len(order) + 1)
+    for pos in range(len(order) - 1, -1, -1):
+        i = order[pos]
+        nxt = pos + 1
+        while nxt < len(order) and ivs[order[nxt]].lo <= ivs[i].hi:
+            nxt += 1
+        g[pos] = max(g[pos + 1], weights[i] + g[nxt])
+    return g[0]
+
+
+def brute_regret_interval_argmin(fam, lower, upper):
+    """Exhaustive min-max regret under ranges: (regret, lexicographically
+    smallest optimal member tuple).
+
+    Walks every independent bitmask X, scores it under its worst-case
+    scenario (members of X at lower bounds, the rest at upper bounds) with
+    `left_scan_opt`, and keeps the minimum of (regret, members).
+    """
+    best = None
+    for m in independent_masks(fam):
+        scenario = [lower[i] if (m >> i) & 1 else upper[i] for i in range(len(fam))]
+        regret = left_scan_opt(fam, scenario) - mask_weight(m, lower)
+        cand = (regret, mask_to_members(m))
+        if best is None or cand < best:
+            best = cand
+    return best

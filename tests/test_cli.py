@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 import golden_defs
-from rwis import parse_instance
+from rwis import parse_instance, robust
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
@@ -126,6 +129,23 @@ class TestExitCodes:
         )
         assert code == 12 and "guard" in err
 
+    def test_guard_error_from_environment(self, capsys, tmp_path, monkeypatch):
+        doc = {
+            "format_version": 1,
+            "scaling_factor": 1,
+            "intervals": [[4 * i, 4 * i + 1] for i in range(6)],
+            "uncertainty": {"type": "interval", "lower": [0] * 6, "upper": [1] * 6},
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = ("solve", str(path), "--problem", "regret", "--algorithm", "exact")
+        monkeypatch.setenv("RWIS_GUARD_N", "5")
+        code, _, err = run(capsys, *argv)
+        assert code == 12 and "exceeds enumeration guard 5" in err
+        monkeypatch.setenv("RWIS_GUARD_N", "6")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "value" in out
+
     def test_unsupported_combination(self, capsys):
         code, _, err = run(
             capsys, "solve", str(GOLDEN / "tight_midpoint.json"),
@@ -153,6 +173,57 @@ class TestExitCodes:
             "--problem", "regret", "--algorithm", "fptas",
         )
         assert code == 11 and "epsilon" in err
+
+
+class TestEpsilon:
+    def spy(self, monkeypatch, name):
+        seen = []
+        real = getattr(robust, name)
+
+        def record(fam, u, eps, *args, **kwargs):
+            seen.append(eps)
+            return real(fam, u, eps, *args, **kwargs)
+
+        monkeypatch.setattr(robust, name, record)
+        return seen
+
+    def test_typed_decimal_reaches_fptas_exactly(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, "fptas_regret_discrete")
+        code, out, _ = run(
+            capsys, "solve", str(GOLDEN / "tight_k2.json"),
+            "--problem", "regret", "--algorithm", "fptas", "--epsilon", "0.1",
+        )
+        assert code == 0 and seen == [Fraction(1, 10)]
+        assert type(seen[0]) is Fraction
+        fields = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert fields["epsilon"] == "0.1"
+
+    def test_bench_passes_the_typed_fraction(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "k2.json").write_text((GOLDEN / "tight_k2.json").read_text())
+        seen = self.spy(monkeypatch, "fptas_max_min")
+        code, _, _ = run(
+            capsys, "bench", str(tmp_path), "--problem", "maxmin",
+            "--algorithms", "fptas", "--epsilon", "0.3",
+        )
+        assert code == 0 and seen == [Fraction(3, 10)]
+
+    def test_fraction_text_accepted_and_rendered_as_float(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(GOLDEN / "tight_k2.json"),
+            "--problem", "regret", "--algorithm", "fptas", "--epsilon", "1/4",
+        )
+        fields = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert code == 0 and fields["epsilon"] == "0.25"
+
+    def test_non_finite_and_bad_text_keep_their_exit_codes(self, capsys):
+        argv = ("solve", str(GOLDEN / "tight_k2.json"),
+                "--problem", "regret", "--algorithm", "fptas", "--epsilon")
+        code, _, err = run(capsys, *argv, "nan")
+        assert code == 11 and "epsilon" in err
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "abc")
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
 
 
 class TestGenerate:

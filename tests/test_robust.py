@@ -6,14 +6,18 @@ import pytest
 from rwis import (
     DiscreteScenarioSet,
     FrontierCapError,
+    GuardError,
     IntervalFamily,
     IntervalUncertainty,
     ValidationError,
     extreme_scenarios,
     fptas_max_min,
     fptas_regret_discrete,
+    gen_partition,
     gen_random,
     gen_vertex_cover,
+    PartitionInput,
+    RegretReport,
     UndirectedGraph,
     max_min_value,
     max_regret_discrete,
@@ -27,7 +31,10 @@ from rwis import (
     solve_regret_discrete_exact,
     solve_regret_interval_exact,
     weight_under,
+    worst_case_scenario,
 )
+from rwis import core
+from rwis.robust import resolve_frontier_cap
 
 import oracles
 
@@ -38,6 +45,19 @@ THREE_CLIQUE = IntervalFamily.from_pairs([(0, 1), (0, 1), (0, 1)])
 THREE_CLIQUE_RANGES = IntervalUncertainty((1, 0, 0), (1, 2, 2))
 
 TRIANGLE = UndirectedGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+
+
+def random_small_ranges(rng, max_n):
+    """Intervals on a short line (duplicates and touching endpoints are
+    common) with ranges that are often degenerate and often zero."""
+    n = rng.randint(0, max_n)
+    pairs = []
+    for _ in range(n):
+        lo = rng.randint(0, 6)
+        pairs.append((lo, lo + rng.randint(0, 3)))
+    lower = tuple(rng.randint(0, 3) for _ in range(n))
+    upper = tuple(a + rng.choice((0, 0, 1, 4)) for a in lower)
+    return IntervalFamily.from_pairs(pairs), IntervalUncertainty(lower, upper)
 
 
 def random_discrete(rng, max_n=10, max_k=3, w_max=6):
@@ -303,6 +323,119 @@ class TestRegretIntervalExact:
                     opt_weight(fam, s) - weight_under(members, s) for s in extremes
                 )
                 assert direct == oracle
+
+    def assert_matches_argmin_oracle(self, fam, u):
+        report = solve_regret_interval_exact(fam, u)
+        regret, members = oracles.brute_regret_interval_argmin(fam, u.lower, u.upper)
+        assert (report.solution, report.regret_value) == (members, regret)
+        assert report.witness_scenario == worst_case_scenario(u, report.solution)
+
+    def test_left_scan_oracle_matches_bitmask_optimum(self):
+        rng = random.Random(10)
+        for _ in range(60):
+            fam, u = random_small_ranges(rng, max_n=9)
+            for w in (u.lower, u.upper):
+                assert oracles.left_scan_opt(fam, w) == oracles.brute_opt(fam, w)
+
+    def test_argmin_on_seeded_random_families(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            inst = gen_random(
+                n=rng.randint(1, 10),
+                model="interval",
+                w_max=rng.choice([1, 3, 6]),
+                density=rng.choice([0.0, 0.4, 0.8]),
+                seed=rng.randrange(1 << 30),
+            )
+            self.assert_matches_argmin_oracle(inst.family, inst.uncertainty)
+
+    def test_argmin_with_duplicates_touching_and_degenerate_ranges(self):
+        # small coordinates make duplicate intervals and shared endpoints
+        # common; half the ranges are degenerate, many weights are zero
+        rng = random.Random(12)
+        for _ in range(120):
+            self.assert_matches_argmin_oracle(*random_small_ranges(rng, max_n=10))
+
+    def test_argmin_edge_cases(self):
+        empty = IntervalFamily.from_pairs([])
+        self.assert_matches_argmin_oracle(empty, IntervalUncertainty((), ()))
+        report = solve_regret_interval_exact(empty, IntervalUncertainty((), ()))
+        assert report == RegretReport((), 0, ())
+        single = IntervalFamily.from_pairs([(0, 1)])
+        for lo, up in ((0, 0), (2, 2), (1, 5)):
+            self.assert_matches_argmin_oracle(single, IntervalUncertainty((lo,), (up,)))
+        zeros = IntervalUncertainty((0,) * 4, (0,) * 4)
+        fam = IntervalFamily.from_pairs([(0, 1), (1, 2), (3, 4), (3, 4)])
+        self.assert_matches_argmin_oracle(fam, zeros)
+        # every set has regret 0; the empty set is the smallest tuple
+        assert solve_regret_interval_exact(fam, zeros).solution == ()
+
+    def test_argmin_on_partition_gadgets(self):
+        rng = random.Random(13)
+        for count in (8, 8, 9):
+            values = tuple(rng.randint(1, 9) for _ in range(count))
+            inst = gen_partition(PartitionInput(values))
+            assert len(inst.family) == 2 * count + 1
+            self.assert_matches_argmin_oracle(inst.family, inst.uncertainty)
+
+
+class TestRegretIntervalGuard:
+    def test_deep_clique_needs_no_recursion(self):
+        # the walk's depth is n = 1500, far beyond the default recursion limit
+        n = 1500
+        fam = IntervalFamily.from_pairs([(0, 1)] * n)
+        u = IntervalUncertainty((1,) * n, (3,) * n)
+        report = solve_regret_interval_exact(fam, u, guard=2000)
+        assert report.regret_value == 2 and report.solution == (1,)
+
+    def test_guard_plus_one_refused_before_any_work(self, monkeypatch):
+        fam = IntervalFamily.from_pairs([(3 * i, 3 * i + 1) for i in range(6)])
+        u = IntervalUncertainty((0,) * 6, (1,) * 6)
+        lookups = core._prepared.cache_info()[:2]  # hits, misses
+        with pytest.raises(GuardError, match="^family size 6 exceeds enumeration guard 5$"):
+            solve_regret_interval_exact(fam, u, guard=5)
+        monkeypatch.setenv("RWIS_GUARD_N", "5")
+        with pytest.raises(GuardError, match="^family size 6 exceeds enumeration guard 5$"):
+            solve_regret_interval_exact(fam, u)
+        assert core._prepared.cache_info()[:2] == lookups
+
+    def test_guard_equal_to_n_solves(self, monkeypatch):
+        fam = IntervalFamily.from_pairs([(3 * i, 3 * i + 1) for i in range(6)])
+        u = IntervalUncertainty((0,) * 6, (1,) * 6)
+        # members at 0, the rest at 1: regret 6 - |X|, least for X = everything
+        expected = RegretReport(tuple(range(1, 7)), 0, (0,) * 6)
+        assert solve_regret_interval_exact(fam, u, guard=6) == expected
+        monkeypatch.setenv("RWIS_GUARD_N", "6")
+        assert solve_regret_interval_exact(fam, u) == expected
+
+
+class TestEnvIntSettings:
+    def test_explicit_argument_wins(self, monkeypatch):
+        monkeypatch.setenv("RWIS_GUARD_N", "junk")
+        monkeypatch.setenv("RWIS_FRONTIER_CAP", "junk")
+        assert core.resolve_guard(7) == 7
+        assert resolve_frontier_cap(9) == 9
+
+    def test_environment_then_default(self, monkeypatch):
+        monkeypatch.delenv("RWIS_GUARD_N", raising=False)
+        monkeypatch.delenv("RWIS_FRONTIER_CAP", raising=False)
+        assert core.resolve_guard(None) == 20
+        assert core.resolve_guard(None, default=12) == 12
+        assert resolve_frontier_cap(None) == 5_000_000
+        monkeypatch.setenv("RWIS_GUARD_N", "3")
+        monkeypatch.setenv("RWIS_FRONTIER_CAP", "4")
+        assert core.resolve_guard(None, default=12) == 3
+        assert resolve_frontier_cap(None) == 4
+
+    def test_non_integer_environment_messages(self, monkeypatch):
+        monkeypatch.setenv("RWIS_GUARD_N", "2.5")
+        monkeypatch.setenv("RWIS_FRONTIER_CAP", "many")
+        with pytest.raises(ValidationError) as guard_err:
+            core.resolve_guard(None)
+        with pytest.raises(ValidationError) as cap_err:
+            resolve_frontier_cap(None)
+        assert str(guard_err.value) == "RWIS_GUARD_N must be an integer, got '2.5'"
+        assert str(cap_err.value) == "RWIS_FRONTIER_CAP must be an integer, got 'many'"
 
 
 class TestFptas:
