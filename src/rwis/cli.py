@@ -209,7 +209,15 @@ def _instance_id(path: Path, instance: Instance) -> str:
 # Commands
 
 
+def _check_epsilon(eps: Fraction | float | None) -> None:
+    """Refuse, before any solving, an epsilon too large to convert to a float:
+    the epsilon column prints float(eps), and bench accepts what solve does."""
+    if isinstance(eps, Fraction) and abs(eps) > sys.float_info.max:
+        raise ValidationError("epsilon is too large in magnitude for a float")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_epsilon(args.epsilon)
     path = Path(args.instance)
     instance = parse_instance(path)
     start = time.perf_counter()
@@ -371,6 +379,7 @@ def _ratio_cell(value: int | None, opt: int | None) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_epsilon(args.epsilon)
     directory = Path(args.instances)
     if not directory.is_dir():
         raise ValidationError(f"{directory} is not a directory")
@@ -449,7 +458,7 @@ def _selfcheck_frontier(rng: random.Random, rounds: int) -> bool:
         instance = gen.gen_random(
             n=rng.randint(1, 9),
             model="discrete",
-            k=rng.randint(1, 3),
+            k=rng.randint(1, 5),
             w_max=6,
             density=rng.choice([0.2, 0.5, 0.8]),
             seed=rng.randrange(1 << 30),

@@ -9,10 +9,13 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from math import inf
+from operator import sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import core
 from .core import IntervalFamily, check_members
@@ -146,30 +149,62 @@ def _require_same_size(fam: IntervalFamily, n: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Pareto-frontier dynamic program
+#
+# Level pos lists the Pareto-maximal weight vectors achievable with the first
+# pos intervals in right-endpoint order, in descending lexicographic order,
+# next to a parallel list of provenances.  A provenance j indexes level pos-1
+# followed by level p(pos) shifted by interval pos's weights: j below the
+# length of level pos-1 means "skip interval pos" and keeps that vector; any
+# other j means "take interval pos" on top of vector j - len(level pos-1) of
+# level p(pos).
 
-_SKIP = None
 
+def _pareto_max(vecs, merged, k: int):
+    """Pareto-maximal subset, under component-wise >=, of vecs visited in the
+    descending lexicographic order of their indices given by `merged`.
 
-def _pareto_max(vectors: Iterable[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
-    """Pareto-maximal subset under component-wise >=."""
-    vecs = sorted(set(vectors), reverse=True)
+    In that order a vector can only be dominated by an earlier one, so one
+    pass suffices; of equal vectors the first is kept.  Returns the kept
+    vectors and their indices, both in that order.
+    """
     if k == 1:
-        return vecs[:1]
+        return [vecs[merged[0]]], merged[:1]
+    kept: list[tuple[int, ...]] = []
+    kept_idx: list[int] = []
     if k == 2:
-        kept: list[tuple[int, ...]] = []
         best_second = -1
-        for v in vecs:
+        for j in merged:
+            v = vecs[j]
             if v[1] > best_second:
-                kept.append(v)
                 best_second = v[1]
-        return kept
-    kept = []
-    for v in vecs:
-        # descending lexicographic order: earlier vectors can never be
-        # dominated by later ones, so one pass suffices
-        if not any(all(x <= y for x, y in zip(v, u)) for u in kept):
+                kept.append(v)
+                kept_idx.append(j)
+    elif k == 3:
+        # (y, z) staircase of the kept vectors, y ascending and z descending;
+        # the last step (inf, -1) is found by every query and dominates nothing
+        ys: list[float] = [inf]
+        zs = [-1]
+        for j in merged:
+            v = vecs[j]
+            _, y, z = v
+            i = bisect_left(ys, y)
+            if zs[i] >= z:
+                continue
+            lo = i
+            while lo and zs[lo - 1] <= z:
+                lo -= 1
+            hi = i + 1 if ys[i] == y else i
+            ys[lo:hi] = (y,)
+            zs[lo:hi] = (z,)
             kept.append(v)
-    return kept
+            kept_idx.append(j)
+    else:
+        for j in merged:
+            v = vecs[j]
+            if not any(all(x <= y for x, y in zip(v, u)) for u in kept):
+                kept.append(v)
+                kept_idx.append(j)
+    return kept, kept_idx
 
 
 def _frontier_levels(
@@ -180,54 +215,78 @@ def _frontier_levels(
 ):
     """Run the frontier DP; keep every level for witness backtracking.
 
-    columns[k][i] is vertex i+1's weight under scenario k+1.  Level i maps
-    each Pareto-maximal vector achievable with the first i sorted intervals to
-    its provenance: None for "skip interval i", or the parent vector at level
-    p(i) for "take interval i".  With `sat` set, additions saturate at that
-    value per coordinate.
+    columns[k][i] is vertex i+1's weight under scenario k+1.  Level i is the
+    pair (vectors, provenances) described above.  With `sat` set, additions
+    saturate at that value per coordinate.
+
+    Both candidate lists are descending, so the stable sort of their
+    concatenation is a linear-time merge of two runs that puts a skip before
+    an equal take.  Saturation can break the order of the shifted list and
+    make equal vectors, which the same sort handles: equal takes keep the
+    order of their parents, and the earliest parent wins.
     """
     order, preds = core._prepared(fam)
-    n = len(fam)
     k = len(columns)
-    zero = (0,) * k
-    levels: list[dict[tuple[int, ...], tuple[int, ...] | None]] = [{zero: _SKIP}]
-    for pos in range(1, n + 1):
+    levels = [([(0,) * k], [0])]
+    for pos in range(1, len(fam) + 1):
         orig = order[pos - 1]
         wvec = tuple(col[orig] for col in columns)
-        cand: dict[tuple[int, ...], tuple[int, ...] | None] = {
-            v: _SKIP for v in levels[pos - 1]
-        }
+        # shift level p(pos) column by column: tuples are built in C by zip
+        cols = zip(*levels[preds[pos - 1]][0])
         if sat is None:
-            for u in levels[preds[pos - 1]]:
-                v = tuple(a + b for a, b in zip(u, wvec))
-                if v not in cand:
-                    cand[v] = u
+            shifted = [[x + w for x in col] for col, w in zip(cols, wvec)]
         else:
-            for u in levels[preds[pos - 1]]:
-                v = tuple(min(a + b, sat) for a, b in zip(u, wvec))
-                if v not in cand:
-                    cand[v] = u
-        keep = _pareto_max(cand.keys(), k)
-        if len(keep) > cap:
+            shifted = [
+                [x + w if x + w < sat else sat for x in col]
+                for col, w in zip(cols, wvec)
+            ]
+        cand = levels[pos - 1][0] + list(zip(*shifted))
+        merged = sorted(range(len(cand)), key=cand.__getitem__, reverse=True)
+        vecs, provs = _pareto_max(cand, merged, k)
+        if len(vecs) > cap:
             raise FrontierCapError(
-                f"frontier size {len(keep)} exceeds cap {cap} at interval {pos}"
+                f"frontier size {len(vecs)} exceeds cap {cap} at interval {pos}"
             )
-        levels.append({v: cand[v] for v in keep})
+        levels.append((vecs, provs))
     return levels, order, preds
 
 
-def _backtrack(levels, order, preds, vec: tuple[int, ...]) -> tuple[int, ...]:
+def _frontier_best(
+    fam: IntervalFamily,
+    columns: Sequence[Sequence[int]],
+    cap: int,
+    score: Callable[[tuple[int, ...]], int],
+    sat: int | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Run the frontier DP and backtrack from the final vector of least score.
+
+    Ties on the score go to the lexicographically smallest vector, and equal
+    vectors prefer skipping later intervals.  Returns (members, vector).
+    """
+    levels, order, preds = _frontier_levels(fam, columns, cap, sat)
+    final = levels[-1][0]
+    vec = min(reversed(final), key=score)  # ascending: ties go to the smallest
+    j = final.index(vec)
     pos = len(levels) - 1
     members: list[int] = []
     while pos > 0:
-        parent = levels[pos][vec]
-        if parent is _SKIP:
+        j = levels[pos][1][j]
+        skipped = len(levels[pos - 1][0])
+        if j < skipped:
             pos -= 1
         else:
             members.append(order[pos - 1] + 1)
-            vec = parent
+            j -= skipped
             pos = preds[pos - 1]
-    return tuple(sorted(members))
+    return tuple(sorted(members)), vec
+
+
+def _neg_min(vec: tuple[int, ...]) -> int:
+    return -min(vec)
+
+
+def _regret_score(consts: Sequence[int]) -> Callable[[tuple[int, ...]], int]:
+    return lambda vec: max(map(sub, consts, vec))
 
 
 def pareto_frontier(
@@ -243,7 +302,7 @@ def pareto_frontier(
     """
     _require_same_size(fam, scen.n)
     levels, _, _ = _frontier_levels(fam, scen.scenarios, resolve_frontier_cap(cap))
-    return ParetoFrontier(k=scen.k, vectors=frozenset(levels[-1]))
+    return ParetoFrontier(k=scen.k, vectors=frozenset(levels[-1][0]))
 
 
 def solve_max_min_exact(
@@ -257,12 +316,10 @@ def solve_max_min_exact(
     prefer skipping later intervals).
     """
     _require_same_size(fam, scen.n)
-    levels, order, preds = _frontier_levels(
-        fam, scen.scenarios, resolve_frontier_cap(cap)
+    members, vec = _frontier_best(
+        fam, scen.scenarios, resolve_frontier_cap(cap), _neg_min
     )
-    final = sorted(levels[-1])
-    best_vec = max(final, key=lambda v: (min(v), tuple(-x for x in v)))
-    return _backtrack(levels, order, preds, best_vec), min(best_vec)
+    return members, min(vec)
 
 
 def solve_regret_discrete_exact(
@@ -276,20 +333,12 @@ def solve_regret_discrete_exact(
     """
     _require_same_size(fam, scen.n)
     consts = [opt_weight(fam, s) for s in scen.scenarios]
-    levels, order, preds = _frontier_levels(
-        fam, scen.scenarios, resolve_frontier_cap(cap)
+    members, vec = _frontier_best(
+        fam, scen.scenarios, resolve_frontier_cap(cap), _regret_score(consts)
     )
-    best_vec = None
-    best_regret = None
-    for vec in sorted(levels[-1]):
-        regret = max(c - x for c, x in zip(consts, vec))
-        if best_regret is None or regret < best_regret:
-            best_regret = regret
-            best_vec = vec
-    members = _backtrack(levels, order, preds, best_vec)
-    gaps = [c - x for c, x in zip(consts, best_vec)]
-    witness = scen.scenarios[gaps.index(best_regret)]
-    return RegretReport(members, best_regret, witness)
+    gaps = list(map(sub, consts, vec))
+    regret = max(gaps)
+    return RegretReport(members, regret, scen.scenarios[gaps.index(regret)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +480,11 @@ def solve_regret_interval_exact(
 def _as_positive_fraction(eps) -> Fraction:
     try:
         f = Fraction(eps)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"epsilon must be a positive number, got {eps!r}") from None
     if f <= 0:
         raise ValidationError(f"epsilon must be positive, got {eps}")
     return f
-
-
-def _floor_div(value: int, t: Fraction) -> int:
-    return (value * t.denominator) // t.numerator
-
-
-def _ceil_div(value: int, t: Fraction) -> int:
-    return -((-value * t.denominator) // t.numerator)
 
 
 def fptas_max_min(
@@ -460,7 +501,9 @@ def fptas_max_min(
     stays polynomial in n and 1/eps for fixed K.  For the ladder value with
     V <= opt <= 2V the scaled optimum loses at most n*t <= eps*opt/(1+eps) in
     original units, which yields the guarantee; the best exact value over all
-    runs is returned.
+    runs is returned.  The scaled weights only grow down the ladder, so a rung
+    whose scaled matrix equals the previous one repeats its run exactly and
+    is skipped.
     """
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
@@ -474,18 +517,18 @@ def fptas_max_min(
     sat = -((-sat_num.numerator) // sat_num.denominator)
     cap_val = resolve_frontier_cap(cap)
     trial = ub
-    while trial >= 1:
+    previous = None
+    while True:
         t = e * trial / (n * (1 + e))
-        scaled = [
-            [min(_floor_div(w, t), sat) for w in s] for s in scen.scenarios
-        ]
-        levels, order, preds = _frontier_levels(fam, scaled, cap_val, sat=sat)
-        vec = max(sorted(levels[-1]), key=lambda v: (min(v), tuple(-x for x in v)))
-        members = _backtrack(levels, order, preds, vec)
-        value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
-        if value > best_value:
-            best_value = value
-            best_members = members
+        num, den = t.numerator, t.denominator
+        scaled = [[min(w * den // num, sat) for w in s] for s in scen.scenarios]
+        if scaled != previous:
+            members, _ = _frontier_best(fam, scaled, cap_val, _neg_min, sat=sat)
+            value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
+            if value > best_value:
+                best_value = value
+                best_members = members
+            previous = scaled
         if trial == 1:
             break
         trial //= 2
@@ -516,17 +559,10 @@ def fptas_regret_discrete(
     if base.regret_value == 0 or n == 0:
         return base
     t = e * base.regret_value / (scen.k * (n + 1))
-    consts = [
-        _ceil_div(opt_weight(fam, s), t) for s in scen.scenarios
-    ]
-    scaled = [[_floor_div(w, t) for w in s] for s in scen.scenarios]
-    levels, order, preds = _frontier_levels(fam, scaled, resolve_frontier_cap(cap))
-    best_vec = None
-    best_scaled = None
-    for vec in sorted(levels[-1]):
-        regret = max(c - x for c, x in zip(consts, vec))
-        if best_scaled is None or regret < best_scaled:
-            best_scaled = regret
-            best_vec = vec
-    members = _backtrack(levels, order, preds, best_vec)
+    num, den = t.numerator, t.denominator
+    consts = [-(-opt_weight(fam, s) * den // num) for s in scen.scenarios]
+    scaled = [[w * den // num for w in s] for s in scen.scenarios]
+    members, _ = _frontier_best(
+        fam, scaled, resolve_frontier_cap(cap), _regret_score(consts)
+    )
     return max_regret_discrete(fam, scen, members)

@@ -168,3 +168,186 @@ def brute_regret_interval_argmin(fam, lower, upper):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def pareto_max_of_sets(fam, scenarios, sat=None):
+    """Pareto maximum, under component-wise >=, of the per-scenario weight
+    sums of every independent set, each sum clipped at `sat` when given."""
+    sums = set()
+    for m in independent_masks(fam):
+        vec = tuple(mask_weight(m, s) for s in scenarios)
+        sums.add(vec if sat is None else tuple(min(x, sat) for x in vec))
+    return {
+        v for v in sums
+        if not any(u != v and all(x <= y for x, y in zip(v, u)) for u in sums)
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reference frontier DP: the dictionary-based implementation the library used
+# before its index-based engine, kept as the tie-break reference.  The level
+# construction, the final-vector selection rules and the backtracking are that
+# code unchanged; the per-scenario optima come from brute_opt, and only the
+# interval preparation (core._prepared) is shared with the library.
+
+_SKIP = None
+
+
+def ref_pareto_max(vectors, k):
+    """Pareto-maximal subset under component-wise >=."""
+    vecs = sorted(set(vectors), reverse=True)
+    if k == 1:
+        return vecs[:1]
+    if k == 2:
+        kept = []
+        best_second = -1
+        for v in vecs:
+            if v[1] > best_second:
+                kept.append(v)
+                best_second = v[1]
+        return kept
+    kept = []
+    for v in vecs:
+        # descending lexicographic order: earlier vectors can never be
+        # dominated by later ones, so one pass suffices
+        if not any(all(x <= y for x, y in zip(v, u)) for u in kept):
+            kept.append(v)
+    return kept
+
+
+def ref_frontier_levels(fam, columns, cap, sat=None):
+    """Level i maps each Pareto-maximal vector of the first i sorted
+    intervals to None ("skip interval i") or its parent vector at level p(i)
+    ("take interval i"); skip wins, then the first parent in level order."""
+    from rwis import core
+    from rwis.errors import FrontierCapError
+
+    order, preds = core._prepared(fam)
+    n = len(fam)
+    k = len(columns)
+    zero = (0,) * k
+    levels = [{zero: _SKIP}]
+    for pos in range(1, n + 1):
+        orig = order[pos - 1]
+        wvec = tuple(col[orig] for col in columns)
+        cand = {v: _SKIP for v in levels[pos - 1]}
+        if sat is None:
+            for u in levels[preds[pos - 1]]:
+                v = tuple(a + b for a, b in zip(u, wvec))
+                if v not in cand:
+                    cand[v] = u
+        else:
+            for u in levels[preds[pos - 1]]:
+                v = tuple(min(a + b, sat) for a, b in zip(u, wvec))
+                if v not in cand:
+                    cand[v] = u
+        keep = ref_pareto_max(cand.keys(), k)
+        if len(keep) > cap:
+            raise FrontierCapError(
+                f"frontier size {len(keep)} exceeds cap {cap} at interval {pos}"
+            )
+        levels.append({v: cand[v] for v in keep})
+    return levels, order, preds
+
+
+def ref_backtrack(levels, order, preds, vec):
+    pos = len(levels) - 1
+    members = []
+    while pos > 0:
+        parent = levels[pos][vec]
+        if parent is _SKIP:
+            pos -= 1
+        else:
+            members.append(order[pos - 1] + 1)
+            vec = parent
+            pos = preds[pos - 1]
+    return tuple(sorted(members))
+
+
+def ref_max_min_exact(fam, scen, cap=5_000_000):
+    levels, order, preds = ref_frontier_levels(fam, scen.scenarios, cap)
+    final = sorted(levels[-1])
+    best_vec = max(final, key=lambda v: (min(v), tuple(-x for x in v)))
+    return ref_backtrack(levels, order, preds, best_vec), min(best_vec)
+
+
+def ref_regret_discrete_exact(fam, scen, cap=5_000_000):
+    """(members, regret, witness) of the reference min-max regret solver."""
+    consts = [brute_opt(fam, s) for s in scen.scenarios]
+    levels, order, preds = ref_frontier_levels(fam, scen.scenarios, cap)
+    best_vec = None
+    best_regret = None
+    for vec in sorted(levels[-1]):
+        regret = max(c - x for c, x in zip(consts, vec))
+        if best_regret is None or regret < best_regret:
+            best_regret = regret
+            best_vec = vec
+    members = ref_backtrack(levels, order, preds, best_vec)
+    gaps = [c - x for c, x in zip(consts, best_vec)]
+    witness = scen.scenarios[gaps.index(best_regret)]
+    return members, best_regret, witness
+
+
+def ref_fptas_ladder(fam, scen, eps):
+    """The scaled matrices of the reference max-min scheme, one per rung
+    V = UB, UB/2, ..., 1, with the saturation value C."""
+    e = Fraction(eps)
+    n = len(fam)
+    ub = max(brute_opt(fam, s) for s in scen.scenarios)
+    if ub == 0 or n == 0:
+        return [], None
+    sat_num = 2 * n * (1 + e) / e
+    sat = -((-sat_num.numerator) // sat_num.denominator)
+    rungs = []
+    trial = ub
+    while trial >= 1:
+        t = e * trial / (n * (1 + e))
+        rungs.append(
+            [[min((w * t.denominator) // t.numerator, sat) for w in s] for s in scen.scenarios]
+        )
+        if trial == 1:
+            break
+        trial //= 2
+    return rungs, sat
+
+
+def ref_fptas_max_min(fam, scen, eps, cap=5_000_000):
+    """The reference max-min scheme: one frontier run on every rung."""
+    rungs, sat = ref_fptas_ladder(fam, scen, eps)
+    best_members = ()
+    best_value = 0
+    for scaled in rungs:
+        levels, order, preds = ref_frontier_levels(fam, scaled, cap, sat=sat)
+        vec = max(sorted(levels[-1]), key=lambda v: (min(v), tuple(-x for x in v)))
+        members = ref_backtrack(levels, order, preds, vec)
+        value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
+        if value > best_value:
+            best_value = value
+            best_members = members
+    return best_members, best_value
+
+
+def ref_fptas_regret_discrete(fam, scen, eps, cap=5_000_000):
+    """Members of the reference regret scheme's scaled frontier minimizer,
+    or None where it returns the average-weight solution unchanged."""
+    from rwis.approx import k_approx_regret
+
+    e = Fraction(eps)
+    n = len(fam)
+    base = k_approx_regret(fam, scen)
+    if base.regret_value == 0 or n == 0:
+        return None
+    t = e * base.regret_value / (scen.k * (n + 1))
+    consts = [
+        -((-brute_opt(fam, s) * t.denominator) // t.numerator) for s in scen.scenarios
+    ]
+    scaled = [[(w * t.denominator) // t.numerator for w in s] for s in scen.scenarios]
+    levels, order, preds = ref_frontier_levels(fam, scaled, cap)
+    best_vec = None
+    best_scaled = None
+    for vec in sorted(levels[-1]):
+        regret = max(c - x for c, x in zip(consts, vec))
+        if best_scaled is None or regret < best_scaled:
+            best_scaled = regret
+            best_vec = vec
+    return ref_backtrack(levels, order, preds, best_vec)

@@ -225,6 +225,22 @@ class TestEpsilon:
         assert exc.value.code == 2
         assert "invalid float value: 'abc'" in capsys.readouterr().err
 
+    def test_infinite_or_float_overflowing_epsilon_is_a_validation_error(
+        self, capsys, tmp_path
+    ):
+        (tmp_path / "k2.json").write_text((GOLDEN / "tight_k2.json").read_text())
+        for problem in ("maxmin", "regret"):
+            for text in ("inf", "-inf", "1e400", "-1e400"):
+                for argv in (
+                    ("solve", str(GOLDEN / "tight_k2.json"), "--algorithm", "fptas"),
+                    ("bench", str(tmp_path), "--algorithms", "fptas"),
+                ):
+                    code, out, err = run(
+                        capsys, *argv, "--problem", problem, f"--epsilon={text}"
+                    )
+                    assert (code, out) == (11, "")
+                    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGenerate:
     def test_vertex_cover_kind(self, capsys, tmp_path):

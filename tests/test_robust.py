@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from rwis import (
     weight_under,
     worst_case_scenario,
 )
-from rwis import core
+from rwis import core, robust
 from rwis.robust import resolve_frontier_cap
 
 import oracles
@@ -455,6 +456,11 @@ class TestFptas:
             fptas_max_min(TWO_FREE, UNIT_SCEN, 0)
         with pytest.raises(ValidationError):
             fptas_regret_discrete(TWO_FREE, UNIT_SCEN, -0.5)
+        for eps in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValidationError, match="^epsilon must be a positive number"):
+                fptas_max_min(TWO_FREE, UNIT_SCEN, eps)
+            with pytest.raises(ValidationError, match="^epsilon must be a positive number"):
+                fptas_regret_discrete(TWO_FREE, UNIT_SCEN, eps)
 
     def test_regret_single_scenario_exact_zero(self):
         scen = DiscreteScenarioSet(((2, 3),))
@@ -484,3 +490,144 @@ class TestFptas:
         members, value = fptas_max_min(TWO_CLIQUE, scen, 1.0)
         assert Fraction(value) * 2 >= solve_max_min_exact(TWO_CLIQUE, scen)[1]
         assert value >= 1
+
+
+def levels_as_reference(levels, preds):
+    """The engine's (vectors, provenances) levels in the reference DP's form:
+    one dict per level, vector -> None (skip) or parent vector (take)."""
+    out = []
+    for pos, (vecs, provs) in enumerate(levels):
+        if pos == 0:
+            out.append({vecs[0]: None})
+            continue
+        skipped = levels[pos - 1][0]
+        parents = levels[preds[pos - 1]][0]
+        out.append({
+            v: None if j < len(skipped) else parents[j - len(skipped)]
+            for v, j in zip(vecs, provs)
+        })
+    return out
+
+
+def saturated_take_ties(fam, columns, sat):
+    """Count levels where two parents saturate to the same shifted vector."""
+    levels, order, preds = oracles.ref_frontier_levels(fam, columns, 5_000_000, sat=sat)
+    ties = 0
+    for pos in range(1, len(levels)):
+        wvec = tuple(col[order[pos - 1]] for col in columns)
+        shifted = [
+            tuple(min(a + b, sat) for a, b in zip(u, wvec)) for u in levels[preds[pos - 1]]
+        ]
+        ties += len(shifted) != len(set(shifted))
+    return ties
+
+
+class TestFrontierEngine:
+    def test_frontier_equals_pareto_max_of_all_set_sums(self):
+        rng = random.Random(4040)
+        for k in range(1, 6):
+            for _ in range(15):
+                fam, scen = random_discrete(rng, max_n=9, max_k=1, w_max=6)
+                scen = DiscreteScenarioSet(tuple(
+                    tuple(rng.randint(0, 6) for _ in range(scen.n)) for _ in range(k)
+                ))
+                front = pareto_frontier(fam, scen)
+                assert set(front.vectors) == oracles.pareto_max_of_sets(fam, scen.scenarios)
+                sat = rng.randint(1, 12)
+                levels, _, _ = robust._frontier_levels(fam, scen.scenarios, 10**6, sat=sat)
+                assert set(levels[-1][0]) == oracles.pareto_max_of_sets(
+                    fam, scen.scenarios, sat
+                )
+
+    def test_every_level_matches_reference_order_and_provenance(self):
+        rng = random.Random(4141)
+        for k in range(1, 6):
+            for _ in range(12):
+                fam, scen = random_discrete(rng, max_n=14, max_k=1, w_max=5)
+                columns = tuple(
+                    tuple(rng.randint(0, 5) for _ in range(scen.n)) for _ in range(k)
+                )
+                for sat in (None, rng.randint(1, 10)):
+                    levels, _, preds = robust._frontier_levels(fam, columns, 10**6, sat=sat)
+                    ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
+                    got = levels_as_reference(levels, preds)
+                    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+
+    def test_exact_solvers_match_reference_tie_breaks(self):
+        rng = random.Random(4242)
+        for k in range(1, 6):
+            for _ in range(25):
+                fam, scen = random_discrete(rng, max_n=12, max_k=1, w_max=rng.choice([1, 3, 8]))
+                scen = DiscreteScenarioSet(tuple(
+                    tuple(rng.randint(0, 3) for _ in range(scen.n)) for _ in range(k)
+                ))
+                assert solve_max_min_exact(fam, scen) == oracles.ref_max_min_exact(fam, scen)
+                report = solve_regret_discrete_exact(fam, scen)
+                assert (
+                    report.solution, report.regret_value, report.witness_scenario
+                ) == oracles.ref_regret_discrete_exact(fam, scen)
+
+    def test_scaling_schemes_match_reference_tie_breaks(self):
+        # large epsilon keeps the saturation value small, so saturated K=2
+        # vectors from different parents tie often
+        rng = random.Random(4343)
+        ties = 0
+        for k in (1, 2, 2, 2, 3):
+            for _ in range(12):
+                fam, scen = random_discrete(rng, max_n=12, max_k=1, w_max=10)
+                scen = DiscreteScenarioSet(tuple(
+                    tuple(rng.randint(0, 10) for _ in range(scen.n)) for _ in range(k)
+                ))
+                eps = rng.choice([Fraction(1, 2), 2, 4, 8])
+                assert fptas_max_min(fam, scen, eps) == oracles.ref_fptas_max_min(fam, scen, eps)
+                if k == 2:
+                    rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
+                    ties += sum(saturated_take_ties(fam, r, sat) for r in rungs)
+                report = fptas_regret_discrete(fam, scen, eps)
+                members = oracles.ref_fptas_regret_discrete(fam, scen, eps)
+                if members is not None:
+                    assert report == max_regret_discrete(fam, scen, members)
+        assert ties > 0
+
+    def test_ladder_runs_once_per_distinct_scaled_matrix(self, monkeypatch):
+        runs = []
+        real = robust._frontier_levels
+
+        def counting(fam, columns, *args, **kwargs):
+            runs.append(columns)
+            return real(fam, columns, *args, **kwargs)
+
+        monkeypatch.setattr(robust, "_frontier_levels", counting)
+        rng = random.Random(4444)
+        rungs_total = distinct_total = 0
+        for _ in range(30):
+            fam, scen = random_discrete(rng, max_n=10, max_k=2, w_max=rng.choice([5, 1000]))
+            eps = rng.choice([Fraction(1, 4), Fraction(1, 2), 1])
+            runs.clear()
+            result = fptas_max_min(fam, scen, eps)
+            rungs, _ = oracles.ref_fptas_ladder(fam, scen, eps)
+            distinct = {tuple(map(tuple, r)) for r in rungs}
+            assert len(runs) == len(distinct)
+            assert {tuple(map(tuple, r)) for r in runs} == distinct
+            assert result == oracles.ref_fptas_max_min(fam, scen, eps)
+            rungs_total += len(rungs)
+            distinct_total += len(distinct)
+        assert distinct_total < rungs_total  # some rungs were skipped
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_cap_error_names_size_cap_and_interval(self, k):
+        rng = random.Random(4500 + k)
+        fam = IntervalFamily.from_pairs([(2 * (i // 2), 2 * (i // 2)) for i in range(14)])
+        scen = DiscreteScenarioSet(tuple(
+            tuple(rng.randint(0, 9) for _ in range(14)) for _ in range(k)
+        ))
+        peak = max(len(level) for level in oracles.ref_frontier_levels(fam, scen.scenarios, 10**6)[0])
+        cap = peak - 1
+        with pytest.raises(FrontierCapError) as ref:
+            oracles.ref_frontier_levels(fam, scen.scenarios, cap)
+        assert re.fullmatch(r"frontier size \d+ exceeds cap \d+ at interval \d+", str(ref.value))
+        for solve in (pareto_frontier, solve_max_min_exact, solve_regret_discrete_exact):
+            with pytest.raises(FrontierCapError) as got:
+                solve(fam, scen, cap=cap)
+            assert str(got.value) == str(ref.value)
+        assert len(pareto_frontier(fam, scen, cap=peak).vectors) <= peak
