@@ -11,7 +11,9 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, ValidationError
 
@@ -44,9 +46,12 @@ def _check_enumeration_guard(n: int, guard: int | None) -> None:
         raise GuardError(f"family size {n} exceeds enumeration guard {limit}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
-    """Closed integer interval [lo, hi] on the line."""
+    """Closed integer interval [lo, hi] on the line.
+
+    Slotted: a family holds one per vertex next to its endpoint columns.
+    """
 
     lo: int
     hi: int
@@ -68,18 +73,41 @@ def overlaps(a: Interval, b: Interval) -> bool:
     return max(a.lo, b.lo) <= min(a.hi, b.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalFamily:
-    """Ordered interval list; position k (1-based) is vertex v_k of the interval graph."""
+    """Ordered interval list; position k (1-based) is vertex v_k of the interval graph.
+
+    The endpoints are also kept as two int columns, `_los` and `_his`, with
+    their hash: equality, hashing (the key of every per-family cache) and
+    interval preparation read those instead of the Interval objects.
+    """
 
     intervals: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.intervals, tuple):
             object.__setattr__(self, "intervals", tuple(self.intervals))
-        for iv in self.intervals:
-            if not isinstance(iv, Interval):
-                raise ValidationError(f"expected Interval, got {iv!r}")
+        if not set(map(type, self.intervals)) <= {Interval}:
+            for iv in self.intervals:
+                if not isinstance(iv, Interval):
+                    raise ValidationError(f"expected Interval, got {iv!r}")
+        los = tuple(map(attrgetter("lo"), self.intervals))
+        his = tuple(map(attrgetter("hi"), self.intervals))
+        object.__setattr__(self, "_los", los)
+        object.__setattr__(self, "_his", his)
+        object.__setattr__(self, "_hash", hash((los, his)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self._his == other._his
+            and self._los == other._los
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "IntervalFamily":
@@ -101,12 +129,23 @@ class IntervalFamily:
         return self.intervals[index - 1]
 
 
+def _all_ints(xs: Sequence) -> bool:
+    """True when every entry's type is exactly int (one C-level pass).
+
+    False does not mean invalid: bools and other int subclasses fail this
+    test, and callers then run their per-entry check on the list.
+    """
+    return set(map(type, xs)) <= {int}
+
+
 def check_members(n: int, members: Iterable[int]) -> tuple[int, ...]:
     """Validate 1-based vertex indices against a family of size n.
 
     Returns the indices as a sorted, deduplicated tuple.
     """
     out = tuple(sorted(set(members)))
+    if not out or (_all_ints(out) and out[0] >= 1 and out[-1] <= n):
+        return out
     for i in out:
         if not isinstance(i, int) or not 1 <= i <= n:
             raise ValidationError(f"vertex index {i!r} out of range 1..{n}")
@@ -120,6 +159,8 @@ def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
         raise ValidationError(
             f"weight vector has length {len(w)}, family has {n} vertices"
         )
+    if not w or (_all_ints(w) and min(w) >= 0):
+        return w
     for x in w:
         if not isinstance(x, int):
             raise ValidationError(f"weights must be integers, got {x!r}")
@@ -130,9 +171,14 @@ def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
 
 def is_independent(fam: IntervalFamily, members: Iterable[int]) -> bool:
     """True when no two of the given vertices have overlapping intervals."""
-    idx = check_members(len(fam), members)
-    ivs = sorted(fam.intervals[i - 1] for i in idx)
-    return all(ivs[j].hi < ivs[j + 1].lo for j in range(len(ivs) - 1))
+    return _is_independent(fam, check_members(len(fam), members))
+
+
+def _is_independent(fam: IntervalFamily, idx: tuple[int, ...]) -> bool:
+    """is_independent for indices check_members has already validated."""
+    los, his = fam._los, fam._his
+    ivs = sorted((los[i - 1], his[i - 1]) for i in idx)
+    return all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ivs, ivs[1:]))
 
 
 @lru_cache(maxsize=256)
@@ -140,17 +186,15 @@ def _prepared(fam: IntervalFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sort positions by right endpoint and precompute predecessor indices.
 
     order[k] is the 0-based original index of the (k+1)-th interval in sorted
-    order; preds[k] counts sorted intervals ending strictly before its start,
-    i.e. the DP predecessor p(k+1).
+    order (by hi, then lo, then index); preds[k] counts sorted intervals
+    ending strictly before its start, i.e. the DP predecessor p(k+1).
     """
-    order = tuple(
-        sorted(
-            range(len(fam)),
-            key=lambda i: (fam.intervals[i].hi, fam.intervals[i].lo, i),
-        )
-    )
-    his = [fam.intervals[i].hi for i in order]
-    preds = tuple(bisect_left(his, fam.intervals[i].lo) for i in order)
+    los, his = fam._los, fam._his
+    # two stable sorts: by lo, then by hi, give the (hi, lo, index) order
+    by_lo = sorted(range(len(fam)), key=los.__getitem__)
+    order = tuple(sorted(by_lo, key=his.__getitem__))
+    sorted_his = list(map(his.__getitem__, order))
+    preds = tuple(map(bisect_left, repeat(sorted_his), map(los.__getitem__, order)))
     return order, preds
 
 
@@ -180,21 +224,21 @@ def max_weight_is(
     """
     w = check_weights(len(fam), weights)
     order, preds = _prepared(fam)
-    n = len(fam)
-    best = [0] * (n + 1)
-    for pos in range(1, n + 1):
-        take = best[preds[pos - 1]] + w[order[pos - 1]]
-        skip = best[pos - 1]
-        best[pos] = take if take > skip else skip
+    best = [0]
+    append = best.append
+    for p, i in zip(preds, order):
+        take = best[p] + w[i]
+        skip = best[-1]
+        append(take if take > skip else skip)
     members = []
-    pos = n
+    pos = len(fam)
     while pos > 0:
         if best[pos] == best[pos - 1]:
             pos -= 1
         else:
             members.append(order[pos - 1] + 1)
             pos = preds[pos - 1]
-    return tuple(sorted(members)), best[n]
+    return tuple(sorted(members)), best[-1]
 
 
 def enumerate_independent_sets(

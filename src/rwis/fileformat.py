@@ -8,9 +8,11 @@ indent, trailing newline) so identical instances serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import sys
+from operator import itemgetter
 from pathlib import Path
 
-from .core import IntervalFamily
+from .core import Interval, IntervalFamily, _all_ints
 from .errors import ParseError, ValidationError
 from .scenarios import DiscreteScenarioSet, Instance, IntervalUncertainty
 
@@ -34,7 +36,26 @@ def _require_int(value, what: str) -> int:
 def _require_int_list(value, what: str) -> list[int]:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
+    if _all_ints(value):
+        return value
     return [_require_int(x, f"{what} entry") for x in value]
+
+
+def _require_pairs(raw: list) -> tuple[list[int], list[int]]:
+    """The lo and hi columns of a list of [lo, hi] pairs."""
+    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+        los = list(map(itemgetter(0), raw))
+        his = list(map(itemgetter(1), raw))
+        if _all_ints(los) and _all_ints(his):
+            return los, his
+    los, his = [], []
+    for idx, item in enumerate(raw, start=1):
+        entry = _require_int_list(item, f"interval {idx}")
+        if len(entry) != 2:
+            raise ValidationError(f"interval {idx} must be a [lo, hi] pair, got {item!r}")
+        los.append(entry[0])
+        his.append(entry[1])
+    return los, his
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -79,13 +100,7 @@ def instance_from_dict(doc: dict) -> Instance:
     raw_intervals = doc["intervals"]
     if not isinstance(raw_intervals, list):
         raise ValidationError("intervals must be a list of [lo, hi] pairs")
-    pairs = []
-    for idx, item in enumerate(raw_intervals, start=1):
-        entry = _require_int_list(item, f"interval {idx}")
-        if len(entry) != 2:
-            raise ValidationError(f"interval {idx} must be a [lo, hi] pair, got {item!r}")
-        pairs.append((entry[0], entry[1]))
-    family = IntervalFamily.from_pairs(pairs)
+    family = IntervalFamily(tuple(map(Interval, *_require_pairs(raw_intervals))))
     unc = doc["uncertainty"]
     if not isinstance(unc, dict) or "type" not in unc:
         raise ValidationError("uncertainty must be an object with a 'type' field")
@@ -128,6 +143,11 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: JSON nested too deeply") from None
+    except ValueError:  # json raises a bare ValueError only from int() on a literal
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{source}: integer literal longer than {limit} digits") from None
     return instance_from_dict(doc)
 
 
@@ -138,6 +158,8 @@ def parse_instance(path: str | Path) -> Instance:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not valid UTF-8 at byte {exc.start}") from None
     return parse_instance_text(text, source=str(p))
 
 

@@ -79,7 +79,7 @@ def opt_weight(fam: IntervalFamily, scenario: Iterable[int]) -> int:
 
 def _checked_solution(fam: IntervalFamily, members: Iterable[int]) -> tuple[int, ...]:
     idx = check_members(len(fam), members)
-    if not core.is_independent(fam, idx):
+    if not core._is_independent(fam, idx):
         raise ValidationError(f"vertex set {idx} is not independent")
     return idx
 

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import le
 from typing import Iterable, Iterator
 
-from .core import IntervalFamily, check_members, resolve_guard
+from .core import IntervalFamily, _all_ints, check_members, resolve_guard
 from .errors import GuardError, ValidationError
 
 DEFAULT_EXTREME_GUARD = 12
@@ -18,6 +19,8 @@ DEFAULT_EXTREME_GUARD = 12
 
 def _check_vector(v: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(v)
+    if not out or (_all_ints(out) and min(out) >= 0):
+        return out
     for x in out:
         if not isinstance(x, int):
             raise ValidationError(f"{what} must contain integers, got {x!r}")
@@ -72,11 +75,12 @@ class IntervalUncertainty:
             raise ValidationError(
                 f"bound vectors have different lengths {len(lo)} and {len(up)}"
             )
-        for i, (a, b) in enumerate(zip(lo, up), start=1):
-            if a > b:
-                raise ValidationError(
-                    f"vertex {i}: lower bound {a} exceeds upper bound {b}"
-                )
+        if not all(map(le, lo, up)):
+            for i, (a, b) in enumerate(zip(lo, up), start=1):
+                if a > b:
+                    raise ValidationError(
+                        f"vertex {i}: lower bound {a} exceeds upper bound {b}"
+                    )
 
     @classmethod
     def from_ranges(cls, ranges: Iterable[tuple[int, int]]) -> "IntervalUncertainty":
@@ -129,10 +133,11 @@ def worst_case_scenario(
     Members of the solution sit at their lower bound, everything else at its
     upper bound.  This scenario attains the solution's maximal regret.
     """
-    chosen = set(check_members(u.n, members))
-    return tuple(
-        u.lower[i] if (i + 1) in chosen else u.upper[i] for i in range(u.n)
-    )
+    scenario = list(u.upper)
+    lower = u.lower
+    for i in check_members(u.n, members):
+        scenario[i - 1] = lower[i - 1]
+    return tuple(scenario)
 
 
 def extreme_scenarios(

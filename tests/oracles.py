@@ -6,9 +6,10 @@ direct pairwise intersection test, so agreement with the production solvers
 is meaningful evidence.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 
 def conflict_masks(fam):
@@ -130,6 +131,24 @@ def brute_cover_multiplicity(graph, budget):
         counts = Counter(pick)
         best = max(best, min(counts[k] + counts[l] for k, l in graph.edges))
     return best
+
+
+def ref_prepared(fam):
+    """Right-endpoint order and DP predecessors, the plain way: positions
+    sorted by the key (hi, lo, index), and p = bisect_left of each interval's
+    lo in the sorted right endpoints."""
+    ivs = fam.intervals
+    order = tuple(sorted(range(len(ivs)), key=lambda i: (ivs[i].hi, ivs[i].lo, i)))
+    his = [ivs[i].hi for i in order]
+    return order, tuple(bisect_left(his, ivs[i].lo) for i in order)
+
+
+def pairwise_independent(fam, members):
+    """No two of the given 1-based vertices share a point (all pairs tested)."""
+    ivs = [fam.intervals[i - 1] for i in set(members)]
+    return not any(
+        max(a.lo, b.lo) <= min(a.hi, b.hi) for a, b in combinations(ivs, 2)
+    )
 
 
 def left_scan_opt(fam, weights):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from rwis import parse_instance, robust
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -99,6 +101,33 @@ class TestExitCodes:
             capsys, "solve", str(bad), "--problem", "det", "--algorithm", "exact"
         )
         assert code == 10 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (b'{"format_version": 1, "note": "caf\xe9"}', "not valid UTF-8 at byte 34"),
+            (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+            (b'{"format_version": ' + b"1" * (DIGIT_LIMIT + 1) + b"}",
+             f"integer literal longer than {DIGIT_LIMIT} digits"),
+        ],
+        ids=["invalid-utf8", "deep-nesting", "long-integer"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "evaluate", "bench"])
+    def test_unreadable_json_is_a_parse_error(
+        self, capsys, tmp_path, content, reason, command
+    ):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        bad = suite / "bad.json"
+        bad.write_bytes(content)
+        argv = {
+            "solve": ["solve", str(bad), "--problem", "regret", "--algorithm", "midpoint"],
+            "evaluate": ["evaluate", str(bad), "--problem", "regret", "--solution", "1"],
+            "bench": ["bench", str(suite), "--problem", "regret", "--algorithms", "exact"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 10 and out == ""
+        assert err == f"error: {bad}: {reason}\n"
 
     def test_validation_error(self, capsys, tmp_path):
         doc = {

@@ -1,3 +1,7 @@
+import dataclasses
+import enum
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from rwis import (
     max_weight_is_all_optima,
     overlaps,
 )
+from rwis import core
 
 import oracles
 
@@ -84,6 +89,145 @@ class TestIsIndependent:
         fam = IntervalFamily.from_pairs([(0, 1)])
         with pytest.raises(ValidationError):
             is_independent(fam, {2})
+
+
+def tricky_family(rng, n):
+    """Seeded family mixing duplicate, touching, nested and degenerate intervals."""
+    pairs = []
+    for _ in range(n):
+        kind = rng.randrange(5) if pairs else 4
+        if kind == 0:  # duplicate of an earlier interval
+            pairs.append(rng.choice(pairs))
+        elif kind == 1:  # starts where an earlier one ends
+            end = rng.choice(pairs)[1]
+            pairs.append((end, end + rng.randint(0, 6)))
+        elif kind == 2:  # nested inside an earlier one
+            lo, hi = rng.choice(pairs)
+            a = rng.randint(lo, hi)
+            pairs.append((a, rng.randint(a, hi)))
+        elif kind == 3:  # a single point
+            x = rng.randint(0, 80)
+            pairs.append((x, x))
+        else:
+            lo = rng.randint(0, 80)
+            pairs.append((lo, lo + rng.randint(0, 15)))
+    return IntervalFamily.from_pairs(pairs)
+
+
+TRICKY = [
+    tricky_family(random.Random(seed), n)
+    for seed, n in enumerate([0, 1, 1, 2, 3, 5, 8, 13, 30, 60, 100, 150, 200, 200])
+]
+
+
+class TestPreparation:
+    @pytest.mark.parametrize("fam", TRICKY, ids=lambda f: f"n{len(f)}")
+    def test_prepared_matches_key_sort_reference(self, fam):
+        assert core._prepared.__wrapped__(fam) == oracles.ref_prepared(fam)
+
+    @pytest.mark.parametrize("fam", TRICKY, ids=lambda f: f"n{len(f)}")
+    def test_is_independent_matches_pairwise_oracle(self, fam):
+        rng = random.Random(len(fam))
+        n = len(fam)
+        subsets = [(), tuple(range(1, n + 1))]
+        subsets += [tuple(rng.sample(range(1, n + 1), min(n, k))) for k in (1, 2, 3, 5)]
+        # greedy disjoint sets in right-endpoint order, so that True cases occur
+        for _ in range(10):
+            chosen, end = [], None
+            for i in sorted(range(n), key=lambda i: fam.intervals[i].hi):
+                if (end is None or fam.intervals[i].lo > end) and rng.random() < 0.7:
+                    chosen.append(i + 1)
+                    end = fam.intervals[i].hi
+            subsets.append(tuple(chosen))
+            if len(chosen) > 1:  # one more vertex overlapping a chosen one
+                subsets.append(tuple(chosen) + (rng.randint(1, n),))
+        assert any(oracles.pairwise_independent(fam, m) for m in subsets)
+        for members in subsets:
+            assert is_independent(fam, members) == oracles.pairwise_independent(
+                fam, members
+            ), members
+
+    @pytest.mark.parametrize("fam", TRICKY, ids=lambda f: f"n{len(f)}")
+    def test_equal_families_hash_equally(self, fam):
+        pairs = [(iv.lo, iv.hi) for iv in fam.intervals]
+        twin = IntervalFamily(list(map(Interval, *zip(*pairs))) if pairs else [])
+        assert twin is not fam and twin == fam and hash(twin) == hash(fam)
+        assert {fam: 1}[twin] == 1
+
+    @pytest.mark.parametrize("fam", TRICKY[1:], ids=lambda f: f"n{len(f)}")
+    def test_one_endpoint_changed_is_unequal(self, fam):
+        pairs = [(iv.lo, iv.hi) for iv in fam.intervals]
+        last = len(pairs) - 1
+        lo, hi = pairs[last]
+        for changed in ((lo, hi + 1), (lo - 1, hi)):
+            other = IntervalFamily.from_pairs(pairs[:last] + [changed])
+            assert other != fam and not (other == fam)
+
+    def test_order_matters(self):
+        a = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        b = IntervalFamily.from_pairs([(2, 3), (0, 1)])
+        assert a != b
+
+    def test_comparison_with_a_non_family_is_false(self):
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        assert (fam == fam.intervals) is False
+        assert (fam == ((0, 1), (2, 3))) is False
+        assert (fam == None) is False  # noqa: E711
+        assert (fam != 3) is True
+
+    def test_fields_and_repr_unchanged(self):
+        fam = IntervalFamily.from_pairs([(0, 1)])
+        assert [f.name for f in dataclasses.fields(fam)] == ["intervals"]
+        assert repr(fam) == "IntervalFamily(intervals=(Interval(lo=0, hi=1),))"
+        assert fam.intervals == (Interval(0, 1),)
+
+    def test_non_interval_element_named(self):
+        with pytest.raises(ValidationError) as info:
+            IntervalFamily((Interval(0, 1), (2, 3), "x"))
+        assert str(info.value) == "expected Interval, got (2, 3)"
+
+    def test_int_enum_endpoints_and_weights(self):
+        class E(enum.IntEnum):
+            ZERO = 0
+            ONE = 1
+            TWO = 2
+
+        fam = IntervalFamily.from_pairs([(E.ZERO, E.ONE), (E.TWO, E.TWO)])
+        assert fam == IntervalFamily.from_pairs([(0, 1), (2, 2)])
+        assert max_weight_is(fam, (E.ONE, E.TWO)) == ((1, 2), 3)
+        assert is_independent(fam, (E.ONE, E.TWO))
+
+
+class TestVectorChecks:
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ((1, 2.0, -1), "weights must be integers, got 2.0"),
+            ((1, -1, None), "negative weight -1 rejected"),
+            ((0, "3", 1), "weights must be integers, got '3'"),
+        ],
+    )
+    def test_check_weights_names_the_first_bad_entry(self, weights, message):
+        with pytest.raises(ValidationError) as info:
+            core.check_weights(3, weights)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "members,message",
+        [
+            ((0, 2), "vertex index 0 out of range 1..3"),
+            ((4, 9), "vertex index 4 out of range 1..3"),
+            ((1, 2.5), "vertex index 2.5 out of range 1..3"),
+        ],
+    )
+    def test_check_members_names_the_first_bad_index(self, members, message):
+        with pytest.raises(ValidationError) as info:
+            core.check_members(3, members)
+        assert str(info.value) == message
+
+    def test_check_members_sorts_and_deduplicates(self):
+        assert core.check_members(5, [3, 1, 3, 5]) == (1, 3, 5)
+        assert core.check_members(0, []) == ()
 
 
 class TestMaxWeightIs:

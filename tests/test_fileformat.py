@@ -1,5 +1,7 @@
+import enum
 import json
 import random
+import sys
 
 import pytest
 
@@ -144,3 +146,174 @@ class TestCanonicalWriter:
         instance = gen_random(n=6, model="interval", w_max=4, density=0.5, seed=9)
         assert dumps_instance(instance) == dumps_instance(instance)
         assert dumps_instance(instance).endswith("\n")
+
+
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def interval_doc(lower, upper, intervals=([0, 1], [2, 3])):
+    return minimal_doc(
+        intervals=list(intervals),
+        uncertainty={"type": "interval", "lower": lower, "upper": upper},
+    )
+
+
+def discrete_doc(*rows, intervals=([0, 1], [2, 3])):
+    return minimal_doc(
+        intervals=list(intervals),
+        uncertainty={"type": "discrete", "scenarios": list(rows)},
+    )
+
+
+# (document, exception type, exact message).  Lists with several bad entries
+# check that the first offending entry is the one named.
+MALFORMED = {
+    "interval-bool": (minimal_doc(intervals=[[0, 1], [True, 3]]), ValidationError,
+                      "interval 2 entry must be an integer, got True"),
+    "interval-float": (minimal_doc(intervals=[[0, 1.5], [2, 3]]), ValidationError,
+                       "interval 1 entry must be an integer, got 1.5"),
+    "interval-str": (minimal_doc(intervals=[["0", 1], [2, 3]]), ValidationError,
+                     "interval 1 entry must be an integer, got '0'"),
+    "interval-none": (minimal_doc(intervals=[[0, 1], [2, None]]), ValidationError,
+                      "interval 2 entry must be an integer, got None"),
+    "interval-several-bad": (
+        minimal_doc(intervals=[[0, 1], [2, None], [1.5, 3], [True, 0]]),
+        ValidationError, "interval 2 entry must be an integer, got None"),
+    "interval-two-bad-in-one-pair": (
+        minimal_doc(intervals=[[False, 2.5], [0, 1]]), ValidationError,
+        "interval 1 entry must be an integer, got False"),
+    "interval-triple": (minimal_doc(intervals=[[0, 1], [1, 2, 3]]), ValidationError,
+                        "interval 2 must be a [lo, hi] pair, got [1, 2, 3]"),
+    "interval-single": (minimal_doc(intervals=[[0], [2, 3]]), ValidationError,
+                        "interval 1 must be a [lo, hi] pair, got [0]"),
+    "interval-empty-pair": (minimal_doc(intervals=[[0, 1], []]), ValidationError,
+                            "interval 2 must be a [lo, hi] pair, got []"),
+    "interval-bad-type-before-length": (
+        minimal_doc(intervals=[[0, 1, 2.5], [0, 1]]), ValidationError,
+        "interval 1 entry must be an integer, got 2.5"),
+    "interval-int-not-list": (minimal_doc(intervals=[[0, 1], 5]), ValidationError,
+                              "interval 2 must be a list, got int"),
+    "interval-dict-not-list": (minimal_doc(intervals=[{"lo": 0}, [2, 3]]),
+                               ValidationError, "interval 1 must be a list, got dict"),
+    "interval-str-not-list": (minimal_doc(intervals=["01", [2, 3]]), ValidationError,
+                              "interval 1 must be a list, got str"),
+    "intervals-not-list": (minimal_doc(intervals={"a": [0, 1]}), ValidationError,
+                           "intervals must be a list of [lo, hi] pairs"),
+    "interval-inverted": (minimal_doc(intervals=[[0, 1], [3, 2]]), ValidationError,
+                          "invalid interval: lo=3 > hi=2"),
+    "interval-two-inverted": (minimal_doc(intervals=[[5, 4], [3, 2]]), ValidationError,
+                              "invalid interval: lo=5 > hi=4"),
+    "interval-structure-before-inversion": (
+        minimal_doc(intervals=[[3, 2], [0, None]]), ValidationError,
+        "interval 2 entry must be an integer, got None"),
+    "scenario-bool": (discrete_doc([1, True]), ValidationError,
+                      "scenario entry must be an integer, got True"),
+    "scenario-float": (discrete_doc([1, 2], [1.0, 2]), ValidationError,
+                       "scenario entry must be an integer, got 1.0"),
+    "scenario-str": (discrete_doc([1, "2"]), ValidationError,
+                     "scenario entry must be an integer, got '2'"),
+    "scenario-none": (discrete_doc([None, 2]), ValidationError,
+                      "scenario entry must be an integer, got None"),
+    "scenario-several-bad": (discrete_doc([1, 2], [3, None], [True, 1.5]),
+                             ValidationError,
+                             "scenario entry must be an integer, got None"),
+    "scenario-not-list": (discrete_doc([1, 2], 7), ValidationError,
+                          "scenario must be a list, got int"),
+    "scenario-negative": (discrete_doc([1, -2]), ValidationError,
+                          "scenario weights must be nonnegative, got -2"),
+    "scenario-several-negative": (
+        discrete_doc([1, 2, 0], [0, -2, -3], intervals=([0, 1], [2, 3], [4, 5])),
+        ValidationError, "scenario weights must be nonnegative, got -2"),
+    "scenario-ragged": (discrete_doc([1, 2], [1]), ValidationError,
+                        "scenarios have inconsistent lengths [1, 2]"),
+    "scenario-length-mismatch": (discrete_doc([1, 2, 3], [4, 5, 6]), ValidationError,
+                                 "uncertainty covers 3 vertices, family has 2"),
+    "scenarios-empty": (discrete_doc(), ValidationError,
+                        "discrete uncertainty needs a non-empty scenarios list"),
+    "lower-bool": (interval_doc([1, True], [2, 2]), ValidationError,
+                   "lower entry must be an integer, got True"),
+    "lower-str-then-none": (interval_doc(["x", None], [2, 2]), ValidationError,
+                            "lower entry must be an integer, got 'x'"),
+    "upper-float": (interval_doc([1, 1], [1, 2.0]), ValidationError,
+                    "upper entry must be an integer, got 2.0"),
+    "upper-none": (interval_doc([1, 1], [None, 2]), ValidationError,
+                   "upper entry must be an integer, got None"),
+    "lower-before-upper": (interval_doc([1, 0.5], [None, 2]), ValidationError,
+                           "lower entry must be an integer, got 0.5"),
+    "lower-not-list": (interval_doc(3, [1, 2]), ValidationError,
+                       "lower must be a list, got int"),
+    "lower-negative": (interval_doc([0, -1], [1, 1]), ValidationError,
+                       "lower bounds must be nonnegative, got -1"),
+    "upper-negative": (interval_doc([0, 0], [-3, -4]), ValidationError,
+                       "upper bounds must be nonnegative, got -3"),
+    "lower-above-upper": (
+        interval_doc([0, 5, 7], [1, 4, 6], intervals=([0, 1], [2, 3], [4, 5])),
+        ValidationError, "vertex 2: lower bound 5 exceeds upper bound 4"),
+    "bounds-length-mismatch": (interval_doc([1], [1, 2]), ValidationError,
+                               "bound vectors have different lengths 1 and 2"),
+    "bounds-cover-wrong-n": (interval_doc([1, 1, 1], [1, 2, 3]), ValidationError,
+                             "uncertainty covers 3 vertices, family has 2"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exception_type_and_message(self, case):
+        doc, exc_type, message = MALFORMED[case]
+        with pytest.raises(exc_type) as info:
+            instance_from_dict(doc)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+        # the same document as JSON text fails the same way
+        with pytest.raises(exc_type) as info:
+            parse_instance_text(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_int_enum_endpoints_and_weights_accepted(self):
+        plain = instance_from_dict(discrete_doc([1, 2], intervals=([0, 1], [2, 3])))
+        enums = instance_from_dict(
+            discrete_doc(
+                [Small.ONE, Small.TWO],
+                intervals=([Small.ZERO, Small.ONE], [Small.TWO, Small.THREE]),
+            )
+        )
+        assert enums == plain
+        ranges = instance_from_dict(interval_doc([Small.ZERO, 1], [Small.THREE, Small.ONE]))
+        assert ranges.uncertainty.lower == (0, 1)
+        assert ranges.uncertainty.upper == (3, 1)
+
+
+class TestParseLayerErrors:
+    """Inputs json and the UTF-8 codec reject with exceptions other than
+    JSONDecodeError still end in one ParseError."""
+
+    def test_decode_error_message_is_positional(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance_text("{ not json", source="bad.json")
+        assert str(info.value) == (
+            "bad.json:1:3: Expecting property name enclosed in double quotes"
+        )
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format_version": 1, "note": "caf\xe9"}')
+        with pytest.raises(ParseError) as info:
+            parse_instance(path)
+        assert str(info.value) == f"{path}: not valid UTF-8 at byte 34"
+
+    @pytest.mark.parametrize("depth", [100_000, sys.getrecursionlimit() + 10])
+    def test_nesting_deeper_than_the_recursion_limit(self, depth):
+        with pytest.raises(ParseError) as info:
+            parse_instance_text("[" * depth + "]" * depth, source="deep.json")
+        assert str(info.value) == "deep.json: JSON nested too deeply"
+
+    def test_integer_literal_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        text = '{"format_version": ' + "7" * (limit + 1) + "}"
+        with pytest.raises(ParseError) as info:
+            parse_instance_text(text, source="long.json")
+        assert str(info.value) == f"long.json: integer literal longer than {limit} digits"
