@@ -179,12 +179,26 @@ def _fmt_vector(vec: tuple[int, ...] | None) -> str:
     return ",".join(str(x) for x in vec)
 
 
+def _fmt_value(value: int) -> str:
+    """Decimal text of a reported value, refused when over the int-string limit.
+
+    Sums of in-range weights can have more digits than any input literal.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise ValidationError(
+            f"value has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print"
+        ) from None
+
+
 def render_record(record: ResultRecord, fmt: str, timings: bool) -> str:
     fields = [
         ("instance", record.instance_id),
         ("problem", record.problem),
         ("algorithm", record.algorithm),
-        ("value", str(record.value)),
+        ("value", _fmt_value(record.value)),
         ("solution", _fmt_members(record.solution)),
         ("witness", _fmt_vector(record.witness_scenario)),
         ("epsilon", "-" if record.epsilon is None else repr(float(record.epsilon))),
@@ -416,8 +430,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     instance_id,
                     args.problem,
                     algorithm,
-                    "-" if value is None else str(value),
-                    "-" if opt is None else str(opt),
+                    "-" if value is None else _fmt_value(value),
+                    "-" if opt is None else _fmt_value(opt),
                     _ratio_cell(value, opt),
                     f"{wall_ms:.3f}" if args.timings else "-",
                 ]

@@ -9,12 +9,13 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import inf
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import core
@@ -412,65 +413,114 @@ def solve_regret_discrete_bruteforce(
 def solve_regret_interval_exact(
     fam: IntervalFamily, u: IntervalUncertainty, guard: int | None = None
 ) -> RegretReport:
-    """Exact min-max regret under range uncertainty by enumerating solutions.
+    """Exact min-max regret under range uncertainty by a bounded walk.
 
-    The problem is NP-hard, so this is a guarded desk-scale solver: every
-    independent set X is scored by its worst-case extreme scenario (members
-    low, others high).  The walk decides the intervals in right-endpoint
-    order, taking interval pos only when the last taken one ends before it
-    starts (position <= p(pos)), and extends the right-endpoint DP of that
-    scenario by one entry per decision: best[pos+1] = max(best[pos],
-    best[p(pos)] + w), with w the lower bound if taken, the upper bound if
-    skipped.  Sets sharing a prefix of decisions share that prefix of the DP,
-    and a leaf's regret is best[n] minus the lower bounds taken.  The walk
-    keeps an explicit stack, so its depth n does not touch the recursion
-    limit.  Among optimal sets the lexicographically smallest is returned.
+    The problem is NP-hard, so this is a guarded desk-scale solver.  A set X
+    is scored by its worst-case extreme scenario s_X (members low, others
+    high): regret(X) = opt(s_X) - low(X).  The walk decides the intervals in
+    right-endpoint order, taking interval pos only when the last taken one
+    ends before it starts (position <= p(pos)), and extends the
+    right-endpoint DP of that scenario by one entry per decision:
+    best[pos+1] = max(best[pos], best[p(pos)] + w), with w the lower bound if
+    taken, the upper bound if skipped.  Sets sharing a prefix of decisions
+    share that prefix of the DP, and a leaf's regret is best[n] minus the
+    lower bounds taken.
+
+    Bound.  At a position that may still be taken, with C the set taken so
+    far, every completion X = C + D has regret(X) >= opt(s') - low(C) -
+    rest[pos].  Here s' is s_X with the undecided positions at their lower
+    bounds, so s_X >= s' and opt(s_X) >= opt(s'); rest[pos] is the best
+    lower-weight independent set among positions >= pos, so low(D) <=
+    rest[pos].  opt(s') is best[pos], or best[min(p(f), pos)] + first[f] for
+    the first undecided position f it takes, where first[f] is low[f] plus
+    the best lower-weight set starting after f ends.  first and rest cost
+    one O(n log n) pass; each bound costs O(n).  Positions that must be
+    skipped are not bounded.
+
+    Seed and ties.  The incumbent starts at the midpoint 2-approximation
+    (one solve on lower + upper), and a subtree is cut only when its bound
+    is strictly above the incumbent.  An optimal set's bound is at most its
+    regret, which never exceeds the incumbent, so no optimal set is cut and
+    the lexicographically smallest of them is returned, whichever optimum
+    the seed was.  The walk keeps an explicit stack, so its depth n does
+    not touch the recursion limit.
     """
     _require_same_size(fam, u.n)
+    core._check_enumeration_guard(len(fam), guard)
+    members, regret, _ = _regret_interval_walk(fam, u)
+    return RegretReport(members, regret, worst_case_scenario(u, members))
+
+
+def _regret_interval_walk(
+    fam: IntervalFamily, u: IntervalUncertainty
+) -> tuple[tuple[int, ...], int, int]:
+    """The bounded walk of solve_regret_interval_exact, unguarded.
+
+    Returns (members, regret, nodes), nodes being the number of positions
+    at which the bound was evaluated.
+    """
     n = len(fam)
-    core._check_enumeration_guard(n, guard)
+    seed = max_regret_interval(
+        fam, u, core.max_weight_is(fam, list(map(add, u.lower, u.upper)))[0]
+    )
+    best_regret, best_members = seed.regret_value, seed.solution
     order, preds = core._prepared(fam)
     low = [u.lower[i] for i in order]
     up = [u.upper[i] for i in order]
+    # first[f]: best lower-weight set whose first interval is position f,
+    # by one reverse DP over left-endpoint order; rest: its suffix maxima
+    los, his = fam._los, fam._his
+    by_lo = sorted(range(n), key=los.__getitem__)
+    sorted_los = [los[i] for i in by_lo]
+    after_end = [bisect_right(sorted_los, h) for h in his]
+    after = [0] * (n + 1)  # after[k]: best lower-weight set in by_lo[k:]
+    for k in range(n - 1, -1, -1):
+        i = by_lo[k]
+        take = u.lower[i] + after[after_end[i]]
+        after[k] = take if take > after[k + 1] else after[k + 1]
+    first = [w + after[after_end[i]] for w, i in zip(low, order)]
+    rest = list(accumulate(reversed(first), max, initial=0))[::-1]
     best = [0] * (n + 1)
-    # per position: last taken position before it, lower sum before it
-    last_before = [0] * n
-    sum_before = [0] * n
     chosen: list[int] = []  # taken positions, increasing
-    best_regret: int | None = None
-    best_members: tuple[int, ...] = ()
-    pos = last = lower_sum = 0
+    branches: list[tuple[int, int]] = []  # (position, lower sum) still to take
+    pos = last = lower_sum = nodes = 0
     while True:
         while pos < n:  # skip every remaining position
-            last_before[pos] = last
-            sum_before[pos] = lower_sum
+            if last <= preds[pos]:  # pos may be taken: bound the subtree
+                nodes += 1
+                here = best[pos]
+                opt = here
+                for f in range(pos, n):
+                    q = preds[f]
+                    v = (best[q] if q < pos else here) + first[f]
+                    if v > opt:
+                        opt = v
+                if opt - lower_sum - rest[pos] > best_regret:
+                    break
+                branches.append((pos, lower_sum))
             skip = best[pos]
             take = best[preds[pos]] + up[pos]
             best[pos + 1] = take if take > skip else skip
             pos += 1
-        regret = best[n] - lower_sum
-        if best_regret is None or regret <= best_regret:
-            members = tuple(sorted(order[p] + 1 for p in chosen))
-            if best_regret is None or (regret, members) < (best_regret, best_members):
-                best_regret, best_members = regret, members
-        # back up to the deepest skipped position that may still be taken
-        pos -= 1
-        while pos >= 0:
-            if chosen and chosen[-1] == pos:
-                chosen.pop()
-            elif last_before[pos] <= preds[pos]:
-                break
-            pos -= 1
-        if pos < 0:
+        else:  # a leaf
+            regret = best[n] - lower_sum
+            if regret <= best_regret:
+                members = tuple(sorted(order[p] + 1 for p in chosen))
+                if (regret, members) < (best_regret, best_members):
+                    best_regret, best_members = regret, members
+        if not branches:
             break
+        pos, lower_sum = branches.pop()
+        while chosen and chosen[-1] > pos:
+            chosen.pop()
         chosen.append(pos)
         last = pos + 1
-        lower_sum = sum_before[pos] + low[pos]
+        lower_sum += low[pos]
         skip = best[pos]
         take = best[preds[pos]] + low[pos]
         best[pos + 1] = take if take > skip else skip
         pos += 1
-    return RegretReport(best_members, best_regret, worst_case_scenario(u, best_members))
+    return best_members, best_regret, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,20 @@ def left_scan_opt(fam, weights):
     return g[0]
 
 
+def count_independent_sets(fam):
+    """Number of independent sets, the empty set included, by the same
+    left-endpoint recursion as `left_scan_opt` with counts for weights."""
+    ivs = fam.intervals
+    order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo)
+    c = [1] * (len(order) + 1)
+    for pos in range(len(order) - 1, -1, -1):
+        nxt = pos + 1
+        while nxt < len(order) and ivs[order[nxt]].lo <= ivs[order[pos]].hi:
+            nxt += 1
+        c[pos] = c[pos + 1] + c[nxt]
+    return c[0]
+
+
 def brute_regret_interval_argmin(fam, lower, upper):
     """Exhaustive min-max regret under ranges: (regret, lexicographically
     smallest optimal member tuple).

@@ -129,6 +129,31 @@ class TestExitCodes:
         assert code == 10 and out == ""
         assert err == f"error: {bad}: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "evaluate", "bench"])
+    def test_value_over_the_digit_limit_is_a_validation_error(
+        self, capsys, tmp_path, command
+    ):
+        # each weight has DIGIT_LIMIT digits; the max-min value, their sum, one more
+        big = 9 * 10 ** (DIGIT_LIMIT - 1)
+        doc = {
+            "format_version": 1,
+            "scaling_factor": 1,
+            "intervals": [[0, 1], [2, 3]],
+            "uncertainty": {"type": "interval", "lower": [big, big], "upper": [big, big]},
+        }
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        path = suite / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "solve": ["solve", str(path), "--problem", "maxmin", "--algorithm", "exact"],
+            "evaluate": ["evaluate", str(path), "--problem", "maxmin", "--solution", "1,2"],
+            "bench": ["bench", str(suite), "--problem", "maxmin", "--algorithms", "exact"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 11 and out == ""
+        assert err == f"error: value has more than {DIGIT_LIMIT} digits, too many to print\n"
+
     def test_validation_error(self, capsys, tmp_path):
         doc = {
             "format_version": 1,

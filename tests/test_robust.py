@@ -17,6 +17,8 @@ from rwis import (
     gen_partition,
     gen_random,
     gen_vertex_cover,
+    has_partition,
+    midpoint_approx_regret,
     PartitionInput,
     RegretReport,
     UndirectedGraph,
@@ -378,6 +380,105 @@ class TestRegretIntervalExact:
             inst = gen_partition(PartitionInput(values))
             assert len(inst.family) == 2 * count + 1
             self.assert_matches_argmin_oracle(inst.family, inst.uncertainty)
+
+
+def workload_like_ranges(seed, count):
+    """Range families drawn like the interval-regret benchmark: n = 18..20,
+    w <= 1000, density 0.4, kept when they have 5k-12k independent sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        inst = gen_random(
+            n=rng.randint(18, 20),
+            model="interval",
+            w_max=1000,
+            density=0.4,
+            seed=rng.randrange(1 << 30),
+        )
+        if 5_000 <= oracles.count_independent_sets(inst.family) <= 12_000:
+            out.append((inst.family, inst.uncertainty))
+    return out
+
+
+def nine_value_gadgets(seed, count):
+    rng = random.Random(seed)
+    return [
+        gen_partition(PartitionInput(tuple(rng.randint(1, 12) for _ in range(9))))
+        for _ in range(count)
+    ]
+
+
+class TestRegretIntervalBound:
+    # (intervals, lower, upper, every optimal solution in lexicographic
+    # order); the midpoint seed is optimal and is the last of them
+    TIES = [
+        # the later interval ends first, so the midpoint solve takes it
+        ([(0, 2), (0, 1)], (1, 1), (3, 3), [(1,), (2,)]),
+        # a three-clique of equal ranges listed by decreasing right endpoint
+        ([(0, 3), (0, 2), (0, 1)], (1,) * 3, (3,) * 3, [(1,), (2,), (3,)]),
+        # zero ranges let supersets of an optimum tie with it
+        (
+            [(0, 1), (5, 7), (2, 4), (2, 2), (3, 3)],
+            (0, 2, 1, 0, 2),
+            (0, 3, 3, 0, 3),
+            [(1, 2, 4, 5), (1, 2, 5), (2, 4, 5), (2, 5)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("pairs,lower,upper,optima", TIES)
+    def test_smallest_tied_optimum_wins_over_the_seed(self, pairs, lower, upper, optima):
+        fam = IntervalFamily.from_pairs(pairs)
+        u = IntervalUncertainty(lower, upper)
+        sets = map(oracles.mask_to_members, oracles.independent_masks(fam))
+        regrets = {m: max_regret_interval(fam, u, m).regret_value for m in sets}
+        least = min(regrets.values())
+        assert sorted(m for m, r in regrets.items() if r == least) == optima
+        seed = midpoint_approx_regret(fam, u)
+        assert (seed.solution, seed.regret_value) == (optima[-1], least)
+        report = solve_regret_interval_exact(fam, u)
+        assert report == max_regret_interval(fam, u, optima[0])
+
+    def test_equals_argmin_oracle_where_the_bound_prunes(self):
+        # test_argmin_on_partition_gadgets adds three more gadgets
+        cases = workload_like_ranges(61, 3) + [
+            (inst.family, inst.uncertainty) for inst in nine_value_gadgets(62, 1)
+        ]
+        for fam, u in cases:
+            report = solve_regret_interval_exact(fam, u)
+            regret, members = oracles.brute_regret_interval_argmin(fam, u.lower, u.upper)
+            assert (report.solution, report.regret_value) == (members, regret)
+            assert report.witness_scenario == worst_case_scenario(u, members)
+
+    def test_bound_cuts_most_of_the_walk(self):
+        # the unbounded walk has one leaf per independent set; without the
+        # midpoint seed these families keep more than one node in 15
+        cases = workload_like_ranges(63, 8) + [
+            (inst.family, inst.uncertainty) for inst in nine_value_gadgets(64, 4)
+        ]
+        for fam, u in cases:
+            nodes = robust._regret_interval_walk(fam, u)[2]
+            assert 15 * nodes < oracles.count_independent_sets(fam)
+
+    @pytest.mark.parametrize(
+        "values",
+        # a yes and a no instance for 12 and 13 values; each no has an odd half
+        [
+            (3, 2, 5, 8, 12, 7, 3, 5, 6, 4, 8, 9),
+            (10, 4, 6, 12, 2, 8, 4, 6, 10, 2, 8, 6),
+            (10, 7, 11, 6, 7, 11, 6, 11, 2, 6, 10, 11, 6),
+            (10, 4, 6, 12, 2, 8, 4, 6, 10, 2, 8, 4, 2),
+        ],
+    )
+    def test_raised_guard_reaches_partition_gadgets(self, values):
+        inst = gen_partition(PartitionInput(values))
+        fam, u = inst.family, inst.uncertainty
+        assert len(fam) in (25, 27)
+        report = solve_regret_interval_exact(fam, u, guard=30)
+        num, den = inst.metadata["regret_threshold_scaled"]
+        assert (report.regret_value * den <= num) == has_partition(values)
+        if has_partition(values):
+            assert report.regret_value * den == num
+        assert max_regret_interval(fam, u, report.solution) == report
 
 
 class TestRegretIntervalGuard:
