@@ -98,26 +98,18 @@ def adversarial_ratio(
 ):
     """Worst regret ratio over every tie-broken output of an approximation.
 
-    Enumerates all optima of the surrogate problem, takes the worst exact
-    regret among them, and divides by the exact min-max regret optimum.
-    Conventions: 1 when both are zero, math.inf when only the optimum is
-    zero, otherwise an exact Fraction.
+    Takes the worst exact regret among all optima of the surrogate problem
+    (the algorithm's adversarial tie mode) and divides it by the exact
+    min-max regret optimum.  Conventions: 1 when both are zero, math.inf
+    when only the optimum is zero, otherwise an exact Fraction.
     """
     if isinstance(uncertainty, DiscreteScenarioSet):
         expected = "kapprox"
-        surrogate = _surrogate_discrete(uncertainty)
-
-        def regret_of(m):
-            return robust.max_regret_discrete(fam, uncertainty, m).regret_value
-
+        approximate = k_approx_regret
         opt = robust.solve_regret_discrete_exact(fam, uncertainty).regret_value
     elif isinstance(uncertainty, IntervalUncertainty):
         expected = "midpoint"
-        surrogate = _surrogate_interval(uncertainty)
-
-        def regret_of(m):
-            return robust.max_regret_interval(fam, uncertainty, m).regret_value
-
+        approximate = midpoint_approx_regret
         opt = robust.solve_regret_interval_exact(fam, uncertainty, guard).regret_value
     else:
         raise ValidationError(f"unknown uncertainty model {uncertainty!r}")
@@ -125,10 +117,7 @@ def adversarial_ratio(
         raise ValidationError(
             f"algorithm {algorithm!r} does not apply to this uncertainty model"
         )
-    worst = max(
-        regret_of(m) for m in core.max_weight_is_all_optima(fam, surrogate, guard)
-    )
+    worst = approximate(fam, uncertainty, ties=TIE_ADVERSARIAL, guard=guard).regret_value
     if opt == 0:
         return Fraction(1) if worst == 0 else math.inf
     return Fraction(worst, opt)
-

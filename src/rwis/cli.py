@@ -13,9 +13,11 @@ import argparse
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import approx, core, gen, robust
 from .errors import (
@@ -26,16 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .fileformat import parse_instance, write_instance
-from .scenarios import DiscreteScenarioSet, Instance, extreme_scenarios
+from .scenarios import DiscreteScenarioSet, Instance, Uncertainty, extreme_scenarios
 
 EXIT_OK = 0
 EXIT_PARSE = 10
 EXIT_VALIDATION = 11
 EXIT_GUARD = 12
 EXIT_UNSUPPORTED = 13
-
-PROBLEMS = ("det", "maxmin", "regret")
-ALGORITHMS = ("exact", "fptas", "bruteforce", "kapprox", "midpoint")
 
 
 @dataclass
@@ -68,6 +67,80 @@ def _deterministic_vector(instance: Instance) -> tuple[int, ...]:
     )
 
 
+class _Request(NamedTuple):
+    """What a solver entry of SOLVERS is called with."""
+
+    instance: Instance
+    fam: core.IntervalFamily
+    u: Uncertainty
+    epsilon: Fraction | float | None
+    ties: str
+    guard: int | None
+
+
+def _need_epsilon(r: _Request) -> Fraction | float:
+    if r.epsilon is None:
+        raise ValidationError("--epsilon is required for the fptas algorithm")
+    return r.epsilon
+
+
+def _solve_det(r: _Request) -> tuple[tuple[int, ...], int]:
+    return core.max_weight_is(r.fam, _deterministic_vector(r.instance))
+
+
+def _solve_regret_interval(r: _Request) -> robust.RegretReport:
+    return robust.solve_regret_interval_exact(r.fam, r.u, r.guard)
+
+
+# (problem, algorithm) -> (entry for discrete scenarios, entry for weight
+# ranges).  An entry is either a solver, called with a _Request and returning
+# (members, value) or a RegretReport, or the message refusing that model.  A
+# solver looks its function up on the module when called (robust.x, never a
+# stored x), so rebinding a module attribute reaches every caller.
+SOLVERS = {
+    ("det", "exact"): (_solve_det, _solve_det),
+    ("maxmin", "exact"): (
+        lambda r: robust.solve_max_min_exact(r.fam, r.u),
+        lambda r: robust.solve_max_min_interval(r.fam, r.u),
+    ),
+    ("maxmin", "fptas"): (
+        lambda r: robust.fptas_max_min(r.fam, r.u, _need_epsilon(r)),
+        "maxmin/fptas applies to discrete scenario sets only; "
+        "maxmin under ranges is solved exactly in polynomial time",
+    ),
+    ("maxmin", "bruteforce"): (
+        lambda r: robust.solve_max_min_bruteforce(r.fam, r.u, r.guard),
+        lambda r: robust.solve_max_min_bruteforce(
+            r.fam, DiscreteScenarioSet((r.u.lower,)), r.guard
+        ),
+    ),
+    ("regret", "exact"): (
+        lambda r: robust.solve_regret_discrete_exact(r.fam, r.u),
+        _solve_regret_interval,
+    ),
+    ("regret", "fptas"): (
+        lambda r: robust.fptas_regret_discrete(r.fam, r.u, _need_epsilon(r)),
+        "regret/fptas applies to discrete scenario sets only",
+    ),
+    ("regret", "bruteforce"): (
+        lambda r: robust.solve_regret_discrete_bruteforce(r.fam, r.u, r.guard),
+        _solve_regret_interval,
+    ),
+    ("regret", "kapprox"): (
+        lambda r: approx.k_approx_regret(r.fam, r.u, ties=r.ties, guard=r.guard),
+        "regret/kapprox applies to discrete scenario sets only",
+    ),
+    ("regret", "midpoint"): (
+        "regret/midpoint applies to interval uncertainty only",
+        lambda r: approx.midpoint_approx_regret(r.fam, r.u, ties=r.ties, guard=r.guard),
+    ),
+}
+
+# the CLI's names, in the order the table first uses them
+PROBLEMS = tuple(dict.fromkeys(problem for problem, _ in SOLVERS))
+ALGORITHMS = tuple(dict.fromkeys(algorithm for _, algorithm in SOLVERS))
+
+
 def dispatch_solve(
     instance: Instance,
     problem: str,
@@ -76,91 +149,30 @@ def dispatch_solve(
     adversarial_ties: bool = False,
     guard: int | None = None,
 ) -> tuple[int, tuple[int, ...], tuple[int, ...] | None]:
-    """Route a (problem, algorithm) pair to the implementing solver.
+    """Route a (problem, algorithm) pair to its solver in SOLVERS.
 
     Returns (value, solution, witness_scenario); for regret problems the
     value is the solution's maximal regret and the witness attains it.
     """
-    fam = instance.family
-    u = instance.uncertainty
-    discrete = isinstance(u, DiscreteScenarioSet)
-    ties = approx.TIE_ADVERSARIAL if adversarial_ties else approx.TIE_CANONICAL
-
-    def need_epsilon() -> Fraction | float:
-        if epsilon is None:
-            raise ValidationError("--epsilon is required for the fptas algorithm")
-        return epsilon
-
-    if problem == "det":
-        if algorithm != "exact":
-            raise UnsupportedCombinationError(
-                f"problem 'det' only supports algorithm 'exact', not {algorithm!r}"
-            )
-        weights = _deterministic_vector(instance)
-        members, value = core.max_weight_is(fam, weights)
-        return value, members, None
-
-    if problem == "maxmin":
-        if algorithm == "exact":
-            if discrete:
-                members, value = robust.solve_max_min_exact(fam, u)
-            else:
-                members, value = robust.solve_max_min_interval(fam, u)
-            return value, members, None
-        if algorithm == "bruteforce":
-            scen = u if discrete else DiscreteScenarioSet((u.lower,))
-            members, value = robust.solve_max_min_bruteforce(fam, scen, guard)
-            return value, members, None
-        if algorithm == "fptas":
-            if not discrete:
-                raise UnsupportedCombinationError(
-                    "maxmin/fptas applies to discrete scenario sets only; "
-                    "maxmin under ranges is solved exactly in polynomial time"
-                )
-            members, value = robust.fptas_max_min(fam, u, need_epsilon())
-            return value, members, None
-        raise UnsupportedCombinationError(
-            f"problem 'maxmin' does not support algorithm {algorithm!r}"
-        )
-
-    if problem == "regret":
-        if algorithm == "exact":
-            report = (
-                robust.solve_regret_discrete_exact(fam, u)
-                if discrete
-                else robust.solve_regret_interval_exact(fam, u, guard)
-            )
-        elif algorithm == "bruteforce":
-            report = (
-                robust.solve_regret_discrete_bruteforce(fam, u, guard)
-                if discrete
-                else robust.solve_regret_interval_exact(fam, u, guard)
-            )
-        elif algorithm == "fptas":
-            if not discrete:
-                raise UnsupportedCombinationError(
-                    "regret/fptas applies to discrete scenario sets only"
-                )
-            report = robust.fptas_regret_discrete(fam, u, need_epsilon())
-        elif algorithm == "kapprox":
-            if not discrete:
-                raise UnsupportedCombinationError(
-                    "regret/kapprox applies to discrete scenario sets only"
-                )
-            report = approx.k_approx_regret(fam, u, ties=ties, guard=guard)
-        elif algorithm == "midpoint":
-            if discrete:
-                raise UnsupportedCombinationError(
-                    "regret/midpoint applies to interval uncertainty only"
-                )
-            report = approx.midpoint_approx_regret(fam, u, ties=ties, guard=guard)
+    row = SOLVERS.get((problem, algorithm))
+    if row is None:
+        if problem == "det":
+            message = f"problem 'det' only supports algorithm 'exact', not {algorithm!r}"
+        elif problem in PROBLEMS:
+            message = f"problem {problem!r} does not support algorithm {algorithm!r}"
         else:
-            raise UnsupportedCombinationError(
-                f"problem 'regret' does not support algorithm {algorithm!r}"
-            )
-        return report.regret_value, report.solution, report.witness_scenario
-
-    raise UnsupportedCombinationError(f"unknown problem {problem!r}")
+            message = f"unknown problem {problem!r}"
+        raise UnsupportedCombinationError(message)
+    u = instance.uncertainty
+    entry = row[0 if isinstance(u, DiscreteScenarioSet) else 1]
+    if isinstance(entry, str):
+        raise UnsupportedCombinationError(entry)
+    ties = approx.TIE_ADVERSARIAL if adversarial_ties else approx.TIE_CANONICAL
+    result = entry(_Request(instance, instance.family, u, epsilon, ties, guard))
+    if isinstance(result, robust.RegretReport):
+        return result.regret_value, result.solution, result.witness_scenario
+    members, value = result
+    return value, members, None
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +373,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
     else:
         raise ValidationError(f"unknown kind {args.kind!r}")
-    write_instance(instance, args.out)
+    with _writing(args.out):
+        write_instance(instance, args.out)
     sys.stdout.write(f"{args.out}\n")
     return EXIT_OK
 
 
-def _oracle_optimum(instance: Instance, problem: str, guard: int | None) -> int | None:
-    """Exact optimum for the ratio column, or None when infeasible."""
-    fam = instance.family
-    u = instance.uncertainty
+@contextmanager
+def _writing(path: str):
+    """Map an OSError from writing `path` to a one-line validation error."""
     try:
-        if problem == "det":
-            return core.max_weight_is(fam, _deterministic_vector(instance))[1]
-        if problem == "maxmin":
-            if isinstance(u, DiscreteScenarioSet):
-                return robust.solve_max_min_exact(fam, u)[1]
-            return robust.solve_max_min_interval(fam, u)[1]
-        if isinstance(u, DiscreteScenarioSet):
-            return robust.solve_regret_discrete_exact(fam, u).regret_value
-        return robust.solve_regret_interval_exact(fam, u, guard).regret_value
-    except (GuardError, UnsupportedCombinationError):
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _value_or_none(instance: Instance, problem: str, algorithm: str, **options) -> int | None:
+    """A solver's value for a bench cell, or None where it refuses."""
+    try:
+        return dispatch_solve(instance, problem, algorithm, **options)[0]
+    except (UnsupportedCombinationError, GuardError):
         return None
 
 
@@ -410,20 +422,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     header = ["instance", "problem", "algorithm", "value", "opt", "ratio", "wall_ms"]
     rows = []
     for instance_id, instance in entries:
-        opt = _oracle_optimum(instance, args.problem, args.guard_n)
+        opt = _value_or_none(instance, args.problem, "exact", guard=args.guard_n)
         for algorithm in algorithms:
             start = time.perf_counter()
-            try:
-                value, _, _ = dispatch_solve(
-                    instance,
-                    args.problem,
-                    algorithm,
-                    epsilon=args.epsilon,
-                    adversarial_ties=args.adversarial_ties,
-                    guard=args.guard_n,
-                )
-            except (UnsupportedCombinationError, GuardError):
-                value = None
+            value = _value_or_none(
+                instance,
+                args.problem,
+                algorithm,
+                epsilon=args.epsilon,
+                adversarial_ties=args.adversarial_ties,
+                guard=args.guard_n,
+            )
             wall_ms = (time.perf_counter() - start) * 1000.0
             rows.append(
                 [
@@ -439,7 +448,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     table = [header] + rows
     if args.out:
         machine = "".join("\t".join(row) + "\n" for row in table)
-        Path(args.out).write_text(machine, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(machine, encoding="utf-8")
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     for row in table:
         line = "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
@@ -447,111 +457,74 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _selfcheck_deterministic(rng: random.Random, rounds: int) -> bool:
-    ok = True
+def _draw(
+    rng: random.Random,
+    rounds: int,
+    n_max: int,
+    w_max: int,
+    densities: tuple[float, ...],
+    k: int | range | None = None,
+) -> list[Instance]:
+    """Seeded random instances for selfcheck.
+
+    k is a fixed scenario count, a range to draw it from, or None for weight
+    ranges.  Each instance draws from rng its size, then its scenario count
+    when k is a range, its density and its generator seed.
+    """
+    instances = []
     for _ in range(rounds):
-        instance = gen.gen_random(
-            n=rng.randint(1, 10),
-            model="discrete",
-            k=1,
-            w_max=10,
-            density=rng.choice([0.0, 0.3, 0.6, 0.9]),
-            seed=rng.randrange(1 << 30),
-        )
-        fam = instance.family
-        scen = instance.uncertainty
-        _, dp = core.max_weight_is(fam, scen.scenarios[0])
-        _, brute = robust.solve_max_min_bruteforce(fam, scen)
-        ok = ok and dp == brute
-    return ok
+        n = rng.randint(1, n_max)
+        count = rng.randint(k[0], k[-1]) if isinstance(k, range) else k
+        instances.append(gen.gen_random(
+            n=n, model="interval" if k is None else "discrete", w_max=w_max,
+            density=rng.choice(densities), seed=rng.randrange(1 << 30), k=count,
+        ))
+    return instances
 
 
-def _selfcheck_frontier(rng: random.Random, rounds: int) -> bool:
-    ok = True
-    for _ in range(rounds):
-        instance = gen.gen_random(
-            n=rng.randint(1, 9),
-            model="discrete",
-            k=rng.randint(1, 5),
-            w_max=6,
-            density=rng.choice([0.2, 0.5, 0.8]),
-            seed=rng.randrange(1 << 30),
-        )
-        fam = instance.family
-        scen = instance.uncertainty
-        ok = ok and (
-            robust.solve_max_min_exact(fam, scen)[1]
-            == robust.solve_max_min_bruteforce(fam, scen)[1]
-        )
-        ok = ok and (
-            robust.solve_regret_discrete_exact(fam, scen).regret_value
-            == robust.solve_regret_discrete_bruteforce(fam, scen).regret_value
-        )
-    return ok
+def _value(instance: Instance, problem: str, algorithm: str) -> int:
+    return dispatch_solve(instance, problem, algorithm)[0]
 
 
-def _selfcheck_interval_regret(rng: random.Random, rounds: int) -> bool:
-    ok = True
-    for _ in range(rounds):
-        instance = gen.gen_random(
-            n=rng.randint(1, 8),
-            model="interval",
-            w_max=6,
-            density=rng.choice([0.2, 0.5, 0.8]),
-            seed=rng.randrange(1 << 30),
-        )
-        fam = instance.family
-        u = instance.uncertainty
-        extremes = list(extreme_scenarios(u))
-        for members in core.enumerate_independent_sets(fam):
-            direct = robust.max_regret_interval(fam, u, members).regret_value
-            oracle = max(
-                robust.opt_weight(fam, s) - robust.weight_under(members, s)
-                for s in extremes
-            )
-            ok = ok and direct == oracle
-    return ok
-
-
-def _selfcheck_guarantees(rng: random.Random, rounds: int) -> bool:
-    ok = True
-    for k in (2, 3):
-        ratio = approx.adversarial_ratio(
-            gen.gen_tight_k(k).family, gen.gen_tight_k(k).uncertainty
-        )
-        ok = ok and ratio == k
-    tight = gen.gen_tight_midpoint()
-    ok = ok and approx.adversarial_ratio(tight.family, tight.uncertainty) == 2
-    for _ in range(rounds):
-        instance = gen.gen_random(
-            n=rng.randint(1, 10),
-            model="discrete",
-            k=rng.randint(1, 3),
-            w_max=8,
-            density=rng.choice([0.2, 0.5, 0.8]),
-            seed=rng.randrange(1 << 30),
-        )
-        fam = instance.family
-        scen = instance.uncertainty
-        got = approx.k_approx_regret(fam, scen).regret_value
-        opt = robust.solve_regret_discrete_exact(fam, scen).regret_value
-        ok = ok and got <= scen.k * opt
-    return ok
+def _regret_formula_holds(instance: Instance) -> bool:
+    """The one-scenario interval regret against every extreme scenario."""
+    fam, u = instance.family, instance.uncertainty
+    extremes = list(extreme_scenarios(u))
+    return all(
+        robust.max_regret_interval(fam, u, members).regret_value
+        == max(robust.opt_weight(fam, s) - robust.weight_under(members, s) for s in extremes)
+        for members in core.enumerate_independent_sets(fam)
+    )
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     rng = random.Random(20240 if args.seed is None else args.seed)
-    checks = [
-        ("deterministic core vs enumeration", _selfcheck_deterministic(rng, 40)),
-        ("frontier DP vs enumeration", _selfcheck_frontier(rng, 25)),
-        ("interval regret vs extreme scenarios", _selfcheck_interval_regret(rng, 15)),
-        ("approximation guarantees and tight ratios", _selfcheck_guarantees(rng, 25)),
-    ]
-    failed = False
-    for name, passed in checks:
+    single = _draw(rng, 40, 10, 10, (0.0, 0.3, 0.6, 0.9), k=1)
+    several = _draw(rng, 25, 9, 6, (0.2, 0.5, 0.8), k=range(1, 6))
+    ranges = _draw(rng, 15, 8, 6, (0.2, 0.5, 0.8))
+    approximated = _draw(rng, 25, 10, 8, (0.2, 0.5, 0.8), k=range(1, 4))
+    tight = ((gen.gen_tight_k(2), 2), (gen.gen_tight_k(3), 3), (gen.gen_tight_midpoint(), 2))
+    checks = {
+        "deterministic core vs enumeration": all(
+            _value(i, "det", "exact") == _value(i, "maxmin", "bruteforce") for i in single
+        ),
+        "frontier DP vs enumeration": all(
+            _value(i, problem, "exact") == _value(i, problem, "bruteforce")
+            for i in several
+            for problem in ("maxmin", "regret")
+        ),
+        "interval regret vs extreme scenarios": all(map(_regret_formula_holds, ranges)),
+        "approximation guarantees and tight ratios": all(
+            approx.adversarial_ratio(i.family, i.uncertainty) == ratio for i, ratio in tight
+        )
+        and all(
+            _value(i, "regret", "kapprox") <= i.uncertainty.k * _value(i, "regret", "exact")
+            for i in approximated
+        ),
+    }
+    for name, passed in checks.items():
         sys.stdout.write(f"selfcheck: {name}: {'ok' if passed else 'FAILED'}\n")
-        failed = failed or not passed
-    return 1 if failed else EXIT_OK
+    return EXIT_OK if all(checks.values()) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,37 @@ def max_weight_is(
     return tuple(sorted(members)), best[-1]
 
 
+def _sets_with_sums(
+    fam: IntervalFamily, columns: Sequence[Sequence[int]], guard: int | None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield (members, per-column weight sums) for every independent set.
+
+    The library's one exhaustive walk: lexicographic member order, empty set
+    first, sums maintained incrementally along the recursion.  The guard is
+    checked when this is called, before the first set is produced.
+    """
+    n = len(fam)
+    _check_enumeration_guard(n, guard)
+    masks = _conflict_masks(fam)
+    k = len(columns)
+    sums = [0] * k
+    chosen: list[int] = []
+
+    def rec(start: int, blocked: int):
+        yield tuple(chosen), tuple(sums)
+        for j in range(start, n):
+            if not (blocked >> j) & 1:
+                chosen.append(j + 1)
+                for t in range(k):
+                    sums[t] += columns[t][j]
+                yield from rec(j + 1, blocked | masks[j])
+                for t in range(k):
+                    sums[t] -= columns[t][j]
+                chosen.pop()
+
+    return rec(0, 0)
+
+
 def enumerate_independent_sets(
     fam: IntervalFamily, guard: int | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -249,19 +280,7 @@ def enumerate_independent_sets(
     The empty set comes first.  Guarded: refuses families larger than the
     enumeration guard (default 20 vertices) since the count can reach 2^n.
     """
-    n = len(fam)
-    _check_enumeration_guard(n, guard)
-    masks = _conflict_masks(fam)
-
-    def rec(start: int, chosen: list[int], blocked: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(chosen)
-        for j in range(start, n):
-            if not (blocked >> j) & 1:
-                chosen.append(j + 1)
-                yield from rec(j + 1, chosen, blocked | masks[j])
-                chosen.pop()
-
-    return rec(0, [], 0)
+    return (members for members, _ in _sets_with_sums(fam, (), guard))
 
 
 def max_weight_is_all_optima(
@@ -276,8 +295,7 @@ def max_weight_is_all_optima(
     w = check_weights(len(fam), weights)
     best: int | None = None
     out: list[tuple[int, ...]] = []
-    for members in enumerate_independent_sets(fam, guard):
-        val = sum(w[i - 1] for i in members)
+    for members, (val,) in _sets_with_sums(fam, (w,), guard):
         if best is None or val > best:
             best = val
             out = [members]

@@ -86,10 +86,24 @@ def vertex_cover_number(g: UndirectedGraph) -> int:
     return g.n_vertices
 
 
+# Largest total has_partition accepts.  Its bitset holds one bit per unit of
+# the total, so time and memory grow with it, and a shift by a value wider
+# than a machine word fails outright.
+PARTITION_TOTAL_LIMIT = 10**6
+
+
 def has_partition(values: Iterable[int]) -> bool:
-    """Subset-sum oracle: can the values be split into two equal-sum halves?"""
+    """Subset-sum oracle: can the values be split into two equal-sum halves?
+
+    Refuses values summing to more than PARTITION_TOTAL_LIMIT.
+    """
     vals = list(values)
     total = sum(vals)
+    if total > PARTITION_TOTAL_LIMIT:
+        raise ValidationError(
+            f"partition values sum to more than {PARTITION_TOTAL_LIMIT}, "
+            "the largest total the subset-sum oracle accepts"
+        )
     if total % 2:
         return False
     reachable = 1
@@ -153,9 +167,11 @@ def gen_partition(p: PartitionInput) -> Instance:
     3b - a_i, long vertex [0, 3nb - b].  All weights are emitted pre-scaled
     by 2 so the halves stay integral; the instance records scaling_factor 2.
     The emitted instance satisfies: regret optimum <= (3/2)b in unscaled
-    units (= 3b scaled) iff the values admit a partition.
+    units (= 3b scaled) iff the values admit a partition.  Values whose
+    total exceeds PARTITION_TOTAL_LIMIT are refused before anything is built.
     """
     values = p.values
+    exists = has_partition(values)
     n = len(values)
     total = sum(values)  # 2b, so scaled 3b == 3*total//... kept as 3*total/2
     intervals: list[Interval] = []
@@ -179,7 +195,7 @@ def gen_partition(p: PartitionInput) -> Instance:
             "generator": "partition",
             "values": list(values),
             "total": total,
-            "oracle_partition_exists": has_partition(values),
+            "oracle_partition_exists": exists,
             # regret optimum <= threshold iff partition exists; threshold is
             # 3b = (3/2)*total in scaled units, stored as an exact pair
             "regret_threshold_scaled": [3 * total, 2],

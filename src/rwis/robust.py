@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import inf
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import core
 from .core import IntervalFamily, check_members
@@ -346,36 +346,6 @@ def solve_regret_discrete_exact(
 # Exhaustive solvers (oracle-grade, guarded)
 
 
-def _sets_with_sums(
-    fam: IntervalFamily, columns: Sequence[Sequence[int]], guard: int | None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (members, per-column weight sums) for every independent set.
-
-    Lexicographic member order, empty set first; sums are maintained
-    incrementally along the recursion.
-    """
-    n = len(fam)
-    core._check_enumeration_guard(n, guard)
-    masks = core._conflict_masks(fam)
-    k = len(columns)
-    sums = [0] * k
-    chosen: list[int] = []
-
-    def rec(start: int, blocked: int):
-        yield tuple(chosen), tuple(sums)
-        for j in range(start, n):
-            if not (blocked >> j) & 1:
-                chosen.append(j + 1)
-                for t in range(k):
-                    sums[t] += columns[t][j]
-                yield from rec(j + 1, blocked | masks[j])
-                for t in range(k):
-                    sums[t] -= columns[t][j]
-                chosen.pop()
-
-    return rec(0, 0)
-
-
 def solve_max_min_bruteforce(
     fam: IntervalFamily, scen: DiscreteScenarioSet, guard: int | None = None
 ) -> tuple[tuple[int, ...], int]:
@@ -383,7 +353,7 @@ def solve_max_min_bruteforce(
     _require_same_size(fam, scen.n)
     best_val = None
     best_members: tuple[int, ...] = ()
-    for members, sums in _sets_with_sums(fam, scen.scenarios, guard):
+    for members, sums in core._sets_with_sums(fam, scen.scenarios, guard):
         val = min(sums)
         if best_val is None or val > best_val:
             best_val = val
@@ -397,17 +367,14 @@ def solve_regret_discrete_bruteforce(
     """Min-max regret by full enumeration; lexicographically smallest optimum."""
     _require_same_size(fam, scen.n)
     consts = [opt_weight(fam, s) for s in scen.scenarios]
-    best_regret = None
-    best_members: tuple[int, ...] = ()
-    for members, sums in _sets_with_sums(fam, scen.scenarios, guard):
-        regret = max(c - x for c, x in zip(consts, sums))
-        if best_regret is None or regret < best_regret:
-            best_regret = regret
-            best_members = members
-    sums = [sum(s[i - 1] for i in best_members) for s in scen.scenarios]
-    gaps = [c - x for c, x in zip(consts, sums)]
-    witness = scen.scenarios[gaps.index(best_regret)]
-    return RegretReport(best_members, best_regret, witness)
+    best = None
+    for members, sums in core._sets_with_sums(fam, scen.scenarios, guard):
+        regret = max(map(sub, consts, sums))
+        if best is None or regret < best[0]:
+            best = regret, members, sums
+    regret, members, sums = best
+    witness = scen.scenarios[list(map(sub, consts, sums)).index(regret)]
+    return RegretReport(members, regret, witness)
 
 
 def solve_regret_interval_exact(

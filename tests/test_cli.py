@@ -1,15 +1,32 @@
+import hashlib
+import inspect
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import golden_defs
-from rwis import parse_instance, robust
+from rwis import cli, gen, parse_instance, robust
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
 DIGIT_LIMIT = sys.get_int_max_str_digits()
+TESTS = Path(__file__).parent
+
+
+def _solve_grid():
+    """(golden, problem, algorithm, exit code, error line) from solve_grid.txt."""
+    text = (TESTS / "solve_grid.txt").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            name, problem, algorithm, code, *err = line.split(" ", 4)
+            yield pytest.param(
+                name, problem, algorithm, int(code), "".join(err),
+                id=f"{name}-{problem}-{algorithm}",
+            )
 
 
 def run(capsys, *argv):
@@ -228,6 +245,16 @@ class TestExitCodes:
         )
         assert code == 11 and "epsilon" in err
 
+    @pytest.mark.parametrize("name,problem,algorithm,code,err", list(_solve_grid()))
+    def test_every_cell_of_the_grid(self, capsys, name, problem, algorithm, code, err):
+        got, out, stderr = run(
+            capsys, "solve", str(GOLDEN / f"{name}.json"),
+            "--problem", problem, "--algorithm", algorithm,
+        )
+        assert got == code
+        assert stderr == (err + "\n" if err else "")
+        assert (out != "") == (code == 0)
+
 
 class TestEpsilon:
     def spy(self, monkeypatch, name):
@@ -336,6 +363,63 @@ class TestGenerate:
         )
         assert code == 11 and "certified" in err
 
+    def test_unwritable_out_is_a_validation_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "generate", "--kind", "tight-midpoint", "--out", str(target)
+        )
+        assert code == 11 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_partition_total_too_large_for_the_oracle(self, capsys, tmp_path):
+        # 4300 digits parse, but the oracle's bitset would need 10**4300 bits
+        big = "9" * 4300
+        target = tmp_path / "p.json"
+        code, out, err = run(
+            capsys, "generate", "--kind", "partition", "--values", f"{big},{big}",
+            "--out", str(target),
+        )
+        assert code == 11 and out == "" and not target.exists()
+        assert err == (
+            f"error: partition values sum to more than {gen.PARTITION_TOTAL_LIMIT}, "
+            "the largest total the subset-sum oracle accepts\n"
+        )
+
+
+BENCH_REGRET_GOLDEN = """\
+instance                 problem  algorithm   value  opt  ratio  wall_ms
+partition_2_2_1_3        regret   exact       12     12   1.000  -
+partition_2_2_1_3        regret   fptas       -      12   -      -
+partition_2_2_1_3        regret   kapprox     -      12   -      -
+partition_2_2_1_3        regret   midpoint    16     12   1.333  -
+partition_2_2_1_3        regret   bruteforce  12     12   1.000  -
+random_n10_k2_w5_seed42  regret   exact       1      1    1.000  -
+random_n10_k2_w5_seed42  regret   fptas       1      1    1.000  -
+random_n10_k2_w5_seed42  regret   kapprox     1      1    1.000  -
+random_n10_k2_w5_seed42  regret   midpoint    -      1    -      -
+random_n10_k2_w5_seed42  regret   bruteforce  1      1    1.000  -
+tight_k2                 regret   exact       1      1    1.000  -
+tight_k2                 regret   fptas       1      1    1.000  -
+tight_k2                 regret   kapprox     2      1    2.000  -
+tight_k2                 regret   midpoint    -      1    -      -
+tight_k2                 regret   bruteforce  1      1    1.000  -
+tight_k3                 regret   exact       1      1    1.000  -
+tight_k3                 regret   fptas       1      1    1.000  -
+tight_k3                 regret   kapprox     2      1    2.000  -
+tight_k3                 regret   midpoint    -      1    -      -
+tight_k3                 regret   bruteforce  1      1    1.000  -
+tight_midpoint           regret   exact       1      1    1.000  -
+tight_midpoint           regret   fptas       -      1    -      -
+tight_midpoint           regret   kapprox     -      1    -      -
+tight_midpoint           regret   midpoint    1      1    1.000  -
+tight_midpoint           regret   bruteforce  1      1    1.000  -
+vc_5v6e_L3               regret   exact       2      2    1.000  -
+vc_5v6e_L3               regret   fptas       2      2    1.000  -
+vc_5v6e_L3               regret   kapprox     3      2    1.500  -
+vc_5v6e_L3               regret   midpoint    -      2    -      -
+vc_5v6e_L3               regret   bruteforce  2      2    1.000  -
+"""
+
 
 class TestBench:
     def test_tight_suite_adversarial_ratios(self, capsys, tmp_path):
@@ -400,6 +484,23 @@ class TestBench:
         assert code == 0
         assert out.strip().splitlines()[0].startswith("instance")
 
+    def test_regret_columns_over_the_goldens(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", str(GOLDEN), "--problem", "regret", "--epsilon", "0.5",
+            "--algorithms", "exact,fptas,kapprox,midpoint,bruteforce",
+        )
+        assert code == 0
+        assert out == BENCH_REGRET_GOLDEN
+
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "b.tsv"
+        code, out, err = run(
+            capsys, "bench", str(GOLDEN), "--problem", "det", "--algorithms", "exact",
+            "--out", str(target),
+        )
+        assert code == 11 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
     def test_unsupported_cells_marked(self, capsys, tmp_path):
         suite = tmp_path / "suite"
         suite.mkdir()
@@ -418,3 +519,62 @@ class TestSelfcheck:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
         assert out.count(": ok") == 4
+
+    def test_a_wrong_bruteforce_fails(self, capsys, monkeypatch):
+        real = robust.solve_max_min_bruteforce
+
+        def off_by_one(*args, **kwargs):
+            members, value = real(*args, **kwargs)
+            return members, value + 1
+
+        monkeypatch.setattr(robust, "solve_max_min_bruteforce", off_by_one)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.splitlines() == [
+            "selfcheck: deterministic core vs enumeration: FAILED",
+            "selfcheck: frontier DP vs enumeration: FAILED",
+            "selfcheck: interval regret vs extreme scenarios: ok",
+            "selfcheck: approximation guarantees and tight ratios: ok",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ((), "92867a2952819128ef531ddf6ca8acbd5f1eb6aa351d02ab1eb651b4e84dba3a"),
+            (("--seed", "5"),
+             "8deac8f9e9108b4ad60a6e04b00ce75c7e03516b4e206fc150b45bf642488e95"),
+        ],
+    )
+    def test_draws_the_same_instances(self, capsys, monkeypatch, argv, digest):
+        # every gen_random call's full argument list, defaults applied, in order
+        real = gen.gen_random
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(tuple(bound.arguments.items()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gen, "gen_random", spy)
+        assert run(capsys, "selfcheck", *argv)[0] == 0
+        assert len(seen) == 105
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
+
+
+def test_readme_table_matches_the_solver_table():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        row = re.fullmatch(r"\| `(\w+)`\s*\|(.*)\|(.*)\|", line)
+        if row:
+            documented[row[1]] = tuple(
+                set(re.findall(r"`(\w+)`", cell)) for cell in row.groups()[1:]
+            )
+    supported = {}
+    for (problem, algorithm), entries in cli.SOLVERS.items():
+        cells = supported.setdefault(problem, (set(), set()))
+        for cell, entry in zip(cells, entries):
+            if callable(entry):
+                cell.add(algorithm)
+    assert documented == supported

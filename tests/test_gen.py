@@ -24,6 +24,7 @@ from rwis import (
     solve_regret_interval_exact,
     vertex_cover_number,
 )
+from rwis.gen import PARTITION_TOTAL_LIMIT
 
 # the worked 5-vertex example: 6 edges, cover budget 3
 DEMO_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
@@ -82,6 +83,19 @@ class TestDecisionOracles:
         assert not has_partition((1, 2))
         assert has_partition((2, 2, 1, 3))
         assert not has_partition((5,))
+
+    def test_partition_oracle_total_limit(self):
+        half = PARTITION_TOTAL_LIMIT // 2
+        assert has_partition((half, PARTITION_TOTAL_LIMIT - half))
+        for values in (
+            (half, PARTITION_TOTAL_LIMIT - half + 1),
+            (PARTITION_TOTAL_LIMIT + 1,),
+            (10**4299, 10**4299),
+        ):
+            with pytest.raises(ValidationError, match="sum to more than"):
+                has_partition(values)
+            with pytest.raises(ValidationError, match="sum to more than"):
+                gen_partition(PartitionInput(values))
 
 
 class TestVertexCoverGadget:
