@@ -10,6 +10,7 @@ exits 2 on bad usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -623,9 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building the argparse tree costs more than parsing
+# a command line, and parse_args leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

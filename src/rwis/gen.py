@@ -115,6 +115,10 @@ def has_partition(values: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Hardness gadgets
 
+# Largest scenario matrix gen_vertex_cover builds: one row per edge, one cell
+# per (row, clique) interval, so edges x budget x vertices cells in all.
+VERTEX_COVER_CELLS_LIMIT = 10**6
+
 
 def gen_vertex_cover(g: UndirectedGraph, budget: int) -> Instance:
     """Max-min gadget from a vertex-cover question (graph g, size budget).
@@ -130,12 +134,24 @@ def gen_vertex_cover(g: UndirectedGraph, budget: int) -> Instance:
     optimum is the largest t such that some multiset of `budget` vertices
     covers every edge at least t times; it lies in 0..budget and is 0 exactly
     on no-instances.  It can exceed 1 (a single edge at budget 2 gives 2).
+    Gadgets of more than VERTEX_COVER_CELLS_LIMIT scenario cells are refused
+    before anything is built.
     """
     if budget < 1:
         raise ValidationError(f"cover budget must be >= 1, got {budget}")
     if not g.edges:
         raise ValidationError("graph has no edges; the scenario set would be empty")
     n = g.n_vertices
+    cells = len(g.edges) * budget * n
+    if cells > VERTEX_COVER_CELLS_LIMIT:
+        try:
+            shown = str(cells)
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"{len(g.edges)} x {budget} x {n}"
+        raise ValidationError(
+            f"vertex-cover gadget needs {shown} scenario cells (edges x cover "
+            f"size x vertices), more than {VERTEX_COVER_CELLS_LIMIT}"
+        )
     intervals = [
         Interval(2 * j, 2 * j + 1) for j in range(1, budget + 1) for _ in range(n)
     ]

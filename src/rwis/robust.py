@@ -218,7 +218,8 @@ def _frontier_levels(
 
     columns[k][i] is vertex i+1's weight under scenario k+1.  Level i is the
     pair (vectors, provenances) described above.  With `sat` set, additions
-    saturate at that value per coordinate.
+    saturate at that value per coordinate, and once a level is the lone
+    vector (sat, ..., sat) the remaining levels repeat it as a skip.
 
     Both candidate lists are descending, so the stable sort of their
     concatenation is a linear-time merge of two runs that puts a skip before
@@ -229,7 +230,13 @@ def _frontier_levels(
     order, preds = core._prepared(fam)
     k = len(columns)
     levels = [([(0,) * k], [0])]
+    full = None if sat is None else [(sat,) * k]
     for pos in range(1, len(fam) + 1):
+        if levels[-1][0] == full:
+            # (sat, ..., sat) dominates every later candidate and the stable
+            # sort puts the equal skip first: every later level is that skip
+            levels.extend([(full, [0])] * (len(fam) + 1 - pos))
+            break
         orig = order[pos - 1]
         wvec = tuple(col[orig] for col in columns)
         # shift level p(pos) column by column: tuples are built in C by zip
@@ -520,7 +527,8 @@ def fptas_max_min(
     original units, which yields the guarantee; the best exact value over all
     runs is returned.  The scaled weights only grow down the ladder, so a rung
     whose scaled matrix equals the previous one repeats its run exactly and
-    is skipped.
+    is skipped, and the ladder ends at the limit matrix (every nonzero weight
+    at C), which every later rung would repeat.
     """
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
@@ -533,6 +541,7 @@ def fptas_max_min(
     sat_num = 2 * n * (1 + e) / e
     sat = -((-sat_num.numerator) // sat_num.denominator)
     cap_val = resolve_frontier_cap(cap)
+    limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
     trial = ub
     previous = None
     while True:
@@ -546,7 +555,7 @@ def fptas_max_min(
                 best_value = value
                 best_members = members
             previous = scaled
-        if trial == 1:
+        if trial == 1 or scaled == limit:
             break
         trial //= 2
     return best_members, best_value

@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -385,6 +387,27 @@ class TestGenerate:
             "the largest total the subset-sum oracle accepts\n"
         )
 
+    def test_oversized_vertex_cover_gadget_is_refused(self, capsys, tmp_path):
+        target = tmp_path / "vc.json"
+        code, out, err = run(
+            capsys, "generate", "--kind", "vertex-cover", "--n-vertices", "3",
+            "--edges", "1-2", "--cover-size", "100000000", "--out", str(target),
+        )
+        assert code == 11 and out == "" and not target.exists()
+        assert err == (
+            "error: vertex-cover gadget needs 300000000 scenario cells "
+            f"(edges x cover size x vertices), more than {gen.VERTEX_COVER_CELLS_LIMIT}\n"
+        )
+
+    def test_vertex_cover_cells_too_long_to_print(self, capsys, tmp_path):
+        big = "9" * 4300
+        code, out, err = run(
+            capsys, "generate", "--kind", "vertex-cover", "--n-vertices", big,
+            "--edges", "1-2", "--cover-size", big, "--out", str(tmp_path / "vc.json"),
+        )
+        assert code == 11 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: vertex-cover gadget needs 1 x {big} x {big} ")
+
 
 BENCH_REGRET_GOLDEN = """\
 instance                 problem  algorithm   value  opt  ratio  wall_ms
@@ -578,3 +601,59 @@ def test_readme_table_matches_the_solver_table():
             if callable(entry):
                 cell.add(algorithm)
     assert documented == supported
+
+
+class TestParserPerProcess:
+    SOLVES = (
+        ("tight_k2.json", "regret", "fptas", "--epsilon", "0.5"),
+        ("vc_5v6e_L3.json", "maxmin", "exact"),
+        ("partition_2_2_1_3.json", "regret", "midpoint"),
+    )
+
+    @staticmethod
+    def solve_argv(name, problem, algorithm, *rest):
+        return [
+            "solve", str(GOLDEN / name), "--problem", problem, "--algorithm", algorithm,
+            *rest,
+        ]
+
+    def test_one_parser_serves_every_call(self, capsys):
+        cli._parser.cache_clear()
+        for solve in self.SOLVES:
+            assert run(capsys, *self.solve_argv(*solve))[0] == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SOLVES) - 1)
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_repeated_calls_print_the_same_bytes(self, capsys):
+        cli._parser.cache_clear()
+
+        def exits(*argv):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        calls = (
+            lambda: exits("--help"),
+            lambda: exits("solve", "--help"),
+            lambda: exits("solve", str(GOLDEN / "tight_k2.json"), "--problem", "nope"),
+            lambda: run(capsys, *self.solve_argv(*self.SOLVES[0])),
+        )
+        first = [call() for call in calls]
+        assert [code for code, _, _ in first] == [0, 0, 2, 0]
+        assert first[2][2].startswith("usage: rwis solve ")
+        assert [call() for call in calls] == first
+
+    def test_process_entry_point_prints_what_main_prints(self, capsys):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for solve in self.SOLVES:
+            argv = self.solve_argv(*solve)
+            expected = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rwis.cli", *argv],
+                capture_output=True, env=env, check=False,
+            )
+            got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+            assert got == expected

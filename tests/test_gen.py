@@ -24,7 +24,8 @@ from rwis import (
     solve_regret_interval_exact,
     vertex_cover_number,
 )
-from rwis.gen import PARTITION_TOTAL_LIMIT
+from rwis import gen
+from rwis.gen import PARTITION_TOTAL_LIMIT, VERTEX_COVER_CELLS_LIMIT
 
 # the worked 5-vertex example: 6 edges, cover budget 3
 DEMO_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
@@ -156,6 +157,32 @@ class TestVertexCoverGadget:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValidationError):
             gen_vertex_cover(DEMO_GRAPH, 0)
+
+    def test_cell_limit_is_checked_before_building(self, monkeypatch):
+        # the demo gadget has 6 edges x budget 3 x 5 vertices = 90 cells
+        monkeypatch.setattr(gen, "VERTEX_COVER_CELLS_LIMIT", 90)
+        assert len(gen_vertex_cover(DEMO_GRAPH, 3).family) == 15
+        monkeypatch.setattr(gen, "VERTEX_COVER_CELLS_LIMIT", 89)
+
+        def refuse(*args):
+            raise AssertionError("built an interval")
+
+        monkeypatch.setattr(gen, "Interval", refuse)
+        monkeypatch.setattr(gen, "has_vertex_cover_within", refuse)
+        with pytest.raises(ValidationError) as exc:
+            gen_vertex_cover(DEMO_GRAPH, 3)
+        assert str(exc.value) == (
+            "vertex-cover gadget needs 90 scenario cells "
+            "(edges x cover size x vertices), more than 89"
+        )
+
+    def test_cell_limit_default(self):
+        edge = UndirectedGraph.from_edges(2, [(1, 2)])
+        assert VERTEX_COVER_CELLS_LIMIT == 10**6
+        with pytest.raises(ValidationError, match="needs 1000002 scenario cells"):
+            gen_vertex_cover(edge, VERTEX_COVER_CELLS_LIMIT // 2 + 1)
+        with pytest.raises(ValidationError, match="more than 1000000$"):
+            gen_vertex_cover(UndirectedGraph.from_edges(3, [(1, 2)]), 10**8)
 
 
 class TestPartitionGadget:

@@ -715,6 +715,57 @@ class TestFrontierEngine:
             distinct_total += len(distinct)
         assert distinct_total < rungs_total  # some rungs were skipped
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_levels_after_saturation_match_reference(self, k):
+        # sparse families with weights near sat reach the lone (sat, ..., sat)
+        # vector early; the levels before it include unsaturated ones with a
+        # single vector (every level when k == 1)
+        rng = random.Random(4600 + k)
+        early = single = 0
+        for _ in range(40):
+            fam, scen = random_discrete(rng, max_n=14, max_k=1, w_max=1)
+            sat = rng.randint(1, 6)
+            columns = tuple(
+                tuple(rng.choice((0, 1, sat - 1, sat, sat + 2)) for _ in range(scen.n))
+                for _ in range(k)
+            )
+            levels, _, preds = robust._frontier_levels(fam, columns, 10**6, sat=sat)
+            ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
+            got = levels_as_reference(levels, preds)
+            assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+            vecs = [v for v, _ in levels]
+            if [(sat,) * k] in vecs:
+                first = vecs.index([(sat,) * k])
+                early += first < len(fam)
+                single += any(len(v) == 1 for v in vecs[1:first])
+        assert early >= 20 and single >= 20
+
+    def test_fptas_on_long_ladders_matches_reference(self, monkeypatch):
+        # weights up to 10**6 give ladders of about 20 rungs, most of them
+        # ending at (sat, sat); the runs are the ladder's distinct matrices
+        # in order, so the ladder ends only at the limit matrix or at V = 1
+        runs = []
+        real = robust._frontier_levels
+
+        def counting(fam, columns, *args, **kwargs):
+            runs.append(columns)
+            return real(fam, columns, *args, **kwargs)
+
+        monkeypatch.setattr(robust, "_frontier_levels", counting)
+        rng = random.Random(4700)
+        ended_early = 0
+        for _ in range(12):
+            fam, scen = random_discrete(rng, max_n=9, max_k=3, w_max=10**6)
+            eps = rng.choice([Fraction(1, 2), 1, 3])
+            runs.clear()
+            assert fptas_max_min(fam, scen, eps) == oracles.ref_fptas_max_min(fam, scen, eps)
+            rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
+            distinct = [r for i, r in enumerate(rungs) if i == 0 or r != rungs[i - 1]]
+            assert runs == distinct
+            limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
+            ended_early += limit in rungs[:-1]
+        assert ended_early >= 10
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_cap_error_names_size_cap_and_interval(self, k):
         rng = random.Random(4500 + k)
