@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import approx, core, gen, robust
 from .errors import (
@@ -547,90 +547,138 @@ def _epsilon_arg(text: str) -> Fraction | float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+class Command(NamedTuple):
+    """One `rwis` command: its help line, its arguments and its handler."""
+
+    help: str
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+    handler: Callable[[argparse.Namespace], int]
+
+
+def _arg(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one add_argument call."""
+    return names, options
+
+
+_COMMON_FLAGS = (
+    _arg(
         "--format", choices=("table", "delimited"), default="table",
         help="output layout (default: table)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--guard-n", type=int, default=None,
         help="enumeration guard override (also via RWIS_GUARD_N)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--timings", action="store_true",
         help="include wall-clock columns (breaks byte-for-byte reproducibility)",
-    )
+    ),
+)
+
+# name -> Command, in the order `rwis --help` lists them
+COMMANDS = {
+    "solve": Command("solve one instance file", (
+        _arg("instance", help="path to an instance file"),
+        _arg("--problem", choices=PROBLEMS, required=True),
+        _arg("--algorithm", choices=ALGORITHMS, required=True),
+        _arg("--epsilon", type=_epsilon_arg, default=None,
+             help="accuracy parameter for fptas"),
+        _arg("--adversarial-ties", action="store_true",
+             help="explore surrogate ties and report the worst one"),
+        *_COMMON_FLAGS,
+    ), cmd_solve),
+    "evaluate": Command("evaluate a given solution on an instance", (
+        _arg("instance"),
+        _arg("--problem", choices=PROBLEMS, required=True),
+        _arg("--solution", required=True,
+             help="comma-separated 1-based vertex indices; '-' for the empty set"),
+        *_COMMON_FLAGS,
+    ), cmd_evaluate),
+    "generate": Command("write an instance file", (
+        _arg("--kind", required=True,
+             choices=("vertex-cover", "partition", "tight-k", "tight-midpoint", "random")),
+        _arg("--out", required=True),
+        _arg("--n-vertices", type=int, default=None, help="vertex-cover: graph size"),
+        _arg("--edges", default=None, help="vertex-cover: e.g. '1-2,2-3,1-3'"),
+        _arg("--cover-size", type=int, default=None, help="vertex-cover: budget"),
+        _arg("--values", default=None, help="partition: e.g. '2,2,1,3'"),
+        _arg("--k", type=int, default=None, help="tight-k ratio / random scenario count"),
+        _arg("--n", type=int, default=None, help="random: vertex count"),
+        _arg("--model", choices=("discrete", "interval"), default=None),
+        _arg("--w-max", type=int, default=10),
+        _arg("--density", type=float, default=0.5),
+        _arg("--seed", type=int, default=0),
+        *_COMMON_FLAGS,
+    ), cmd_generate),
+    "bench": Command("run algorithms over a directory of instances", (
+        _arg("instances", help="directory of *.json instance files"),
+        _arg("--problem", choices=PROBLEMS, required=True),
+        _arg("--algorithms", required=True, help="comma-separated algorithm names"),
+        _arg("--epsilon", type=_epsilon_arg, default=None),
+        _arg("--adversarial-ties", action="store_true"),
+        _arg("--out", default=None, help="also write a tab-delimited file"),
+        *_COMMON_FLAGS,
+    ), cmd_bench),
+    "selfcheck": Command("run the built-in oracle-equivalence suite", (
+        _arg("--seed", type=int, default=None),
+        *_COMMON_FLAGS,
+    ), cmd_selfcheck),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments of command `name`, and route it to its handler."""
+    command = COMMANDS[name]
+    for names, options in command.arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(func=command.handler, command=name)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full `rwis` tree: every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="rwis",
         description="Robust maximum-weight independent set solvers on interval graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve one instance file")
-    p_solve.add_argument("instance", help="path to an instance file")
-    p_solve.add_argument("--problem", choices=PROBLEMS, required=True)
-    p_solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_solve.add_argument("--epsilon", type=_epsilon_arg, default=None,
-                         help="accuracy parameter for fptas")
-    p_solve.add_argument("--adversarial-ties", action="store_true",
-                         help="explore surrogate ties and report the worst one")
-    _add_common_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate a given solution on an instance")
-    p_eval.add_argument("instance")
-    p_eval.add_argument("--problem", choices=PROBLEMS, required=True)
-    p_eval.add_argument("--solution", required=True,
-                        help="comma-separated 1-based vertex indices; '-' for the empty set")
-    _add_common_flags(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_gen = sub.add_parser("generate", help="write an instance file")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("vertex-cover", "partition", "tight-k", "tight-midpoint", "random"))
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--n-vertices", type=int, default=None, help="vertex-cover: graph size")
-    p_gen.add_argument("--edges", default=None, help="vertex-cover: e.g. '1-2,2-3,1-3'")
-    p_gen.add_argument("--cover-size", type=int, default=None, help="vertex-cover: budget")
-    p_gen.add_argument("--values", default=None, help="partition: e.g. '2,2,1,3'")
-    p_gen.add_argument("--k", type=int, default=None, help="tight-k ratio / random scenario count")
-    p_gen.add_argument("--n", type=int, default=None, help="random: vertex count")
-    p_gen.add_argument("--model", choices=("discrete", "interval"), default=None)
-    p_gen.add_argument("--w-max", type=int, default=10)
-    p_gen.add_argument("--density", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
-    _add_common_flags(p_gen)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_bench = sub.add_parser("bench", help="run algorithms over a directory of instances")
-    p_bench.add_argument("instances", help="directory of *.json instance files")
-    p_bench.add_argument("--problem", choices=PROBLEMS, required=True)
-    p_bench.add_argument("--algorithms", required=True,
-                         help="comma-separated algorithm names")
-    p_bench.add_argument("--epsilon", type=_epsilon_arg, default=None)
-    p_bench.add_argument("--adversarial-ties", action="store_true")
-    p_bench.add_argument("--out", default=None, help="also write a tab-delimited file")
-    _add_common_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_check = sub.add_parser("selfcheck", help="run the built-in oracle-equivalence suite")
-    p_check.add_argument("--seed", type=int, default=None)
-    _add_common_flags(p_check)
-    p_check.set_defaults(func=cmd_selfcheck)
-
+    for name, command in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=command.help), name)
     return parser
 
 
-# One parser per process: building the argparse tree costs more than parsing
-# a command line, and parse_args leaves the parser unchanged.
-_parser = functools.cache(build_parser)
+@functools.cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full tree for None, else a parser of that command's arguments alone.
+
+    Building a parser costs more than parsing a command line, and parse_args
+    leaves the parser unchanged, so a process builds each one once.  A
+    command's parser is named `rwis <command>`, as its subparser in the full
+    tree is, so its help and errors read the same.
+    """
+    if command is None:
+        return build_parser()
+    return _add_command(argparse.ArgumentParser(prog=f"rwis {command}"), command)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The Namespace build_parser().parse_args(argv) gives, or its exit.
+
+    A command line that starts with a command name is parsed by that
+    command's parser alone.  Everything else, and a command line that leaves
+    arguments over, goes to the full tree, which prints the top-level help,
+    the top-level usage and its "unrecognized arguments" error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

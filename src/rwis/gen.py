@@ -65,12 +65,39 @@ class PartitionInput:
 # Decision-problem oracles (exhaustive / pseudopolynomial; desk scale)
 
 
+# Most vertex subsets has_vertex_cover_within tries: a second or two of search.
+VERTEX_COVER_SUBSETS_LIMIT = 10**6
+
+
+def _check_cover_search(n_vertices: int, budget: int) -> None:
+    """Refuse a search of more than VERTEX_COVER_SUBSETS_LIMIT subsets.
+
+    That is C(n_vertices, budget) for 0 <= budget < n_vertices.  The count is
+    built up one factor at a time and stops once over the limit, because the
+    whole binomial can itself take seconds (math.comb(10**6, 5 * 10**5)).
+    """
+    count = 1
+    for i in range(min(budget, n_vertices - budget)):
+        count = count * (n_vertices - i) // (i + 1)  # C(n_vertices, i + 1)
+        if count > VERTEX_COVER_SUBSETS_LIMIT:
+            raise ValidationError(
+                "vertex-cover oracle would try more than "
+                f"{VERTEX_COVER_SUBSETS_LIMIT} vertex subsets (vertices choose "
+                "cover size), the most it searches"
+            )
+
+
 def has_vertex_cover_within(g: UndirectedGraph, budget: int) -> bool:
-    """True when some vertex set of size <= budget touches every edge."""
+    """True when some vertex set of size <= budget touches every edge.
+
+    Tries every vertex subset of size budget; refuses, for budget below the
+    vertex count, more than VERTEX_COVER_SUBSETS_LIMIT of them.
+    """
     if budget < 0:
         return not g.edges
     if budget >= g.n_vertices or not g.edges:
         return True
+    _check_cover_search(g.n_vertices, budget)
     vertices = range(1, g.n_vertices + 1)
     for cover in combinations(vertices, budget):
         cset = set(cover)
@@ -134,8 +161,9 @@ def gen_vertex_cover(g: UndirectedGraph, budget: int) -> Instance:
     optimum is the largest t such that some multiset of `budget` vertices
     covers every edge at least t times; it lies in 0..budget and is 0 exactly
     on no-instances.  It can exceed 1 (a single edge at budget 2 gives 2).
-    Gadgets of more than VERTEX_COVER_CELLS_LIMIT scenario cells are refused
-    before anything is built.
+    Gadgets of more than VERTEX_COVER_CELLS_LIMIT scenario cells, and those
+    whose oracle would search more than VERTEX_COVER_SUBSETS_LIMIT vertex
+    subsets, are refused before anything is built.
     """
     if budget < 1:
         raise ValidationError(f"cover budget must be >= 1, got {budget}")
@@ -152,6 +180,7 @@ def gen_vertex_cover(g: UndirectedGraph, budget: int) -> Instance:
             f"vertex-cover gadget needs {shown} scenario cells (edges x cover "
             f"size x vertices), more than {VERTEX_COVER_CELLS_LIMIT}"
         )
+    _check_cover_search(n, budget)
     intervals = [
         Interval(2 * j, 2 * j + 1) for j in range(1, budget + 1) for _ in range(n)
     ]

@@ -399,6 +399,20 @@ class TestGenerate:
             f"(edges x cover size x vertices), more than {gen.VERTEX_COVER_CELLS_LIMIT}\n"
         )
 
+    def test_cover_search_too_large_for_the_oracle(self, capsys, tmp_path):
+        # K30 at cover size 15: 195,750 cells, but C(30, 15) = 155,117,520 subsets
+        edges = ",".join(f"{u}-{v}" for u in range(1, 31) for v in range(u + 1, 31))
+        target = tmp_path / "vc.json"
+        code, out, err = run(
+            capsys, "generate", "--kind", "vertex-cover", "--n-vertices", "30",
+            "--edges", edges, "--cover-size", "15", "--out", str(target),
+        )
+        assert code == 11 and out == "" and not target.exists()
+        assert err == (
+            f"error: vertex-cover oracle would try more than {gen.VERTEX_COVER_SUBSETS_LIMIT} "
+            "vertex subsets (vertices choose cover size), the most it searches\n"
+        )
+
     def test_vertex_cover_cells_too_long_to_print(self, capsys, tmp_path):
         big = "9" * 4300
         code, out, err = run(
@@ -603,11 +617,89 @@ def test_readme_table_matches_the_solver_table():
     assert documented == supported
 
 
+def parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr, vars of the Namespace or None) of parse(argv)."""
+    try:
+        namespace, code = vars(parse(list(argv))), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+def ran(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+TIGHT_K2 = str(GOLDEN / "tight_k2.json")
+SOLVE_TIGHT_K2 = ("solve", TIGHT_K2, "--problem", "regret", "--algorithm", "fptas")
+
+# (id, exit code, command line), 0 for a parse or --help: every route through
+# the per-command parsers and back to the full tree
+PARSED = [
+    ("top-help", 0, ("-h",)),
+    ("top-long-help", 0, ("--help",)),
+    ("empty", 2, ()),
+    ("double-dash", 2, ("--",)),
+    ("double-dash-then-command", 2, ("--", "solve")),
+    ("unknown-command", 2, ("nope",)),
+    ("command-prefix", 2, ("sol",)),
+    ("option-first", 2, ("--format", "table", "solve")),
+    *((f"{name}-help", 0, (name, "--help")) for name in cli.COMMANDS),
+    ("help-before-unknown", 0, ("solve", "-h", "--bogus")),
+    ("solve", 0, (*SOLVE_TIGHT_K2, "--epsilon", "1/3", "--timings", "--guard-n", "9")),
+    ("solve-missing-algorithm", 2, ("solve", TIGHT_K2, "--problem", "regret")),
+    ("solve-missing-everything", 2, ("solve",)),
+    ("solve-invalid-choice", 2, ("solve", TIGHT_K2, "--problem", "nope", "--algorithm", "exact")),
+    ("solve-bad-epsilon", 2, (*SOLVE_TIGHT_K2, "--epsilon", "abc")),
+    ("solve-bad-guard", 2, (*SOLVE_TIGHT_K2, "--guard-n", "x")),
+    ("solve-trailing-positional", 2, (*SOLVE_TIGHT_K2, "extra")),
+    ("solve-trailing-option", 2, (*SOLVE_TIGHT_K2, "--bogus", "--bogus=1")),
+    ("solve-trailing-then-bad-choice", 2, (*SOLVE_TIGHT_K2, "--bogus", "--format", "x")),
+    ("solve-double-dash-positional", 0,
+     ("solve", "--problem", "det", "--algorithm", "exact", "--", TIGHT_K2)),
+    ("solve-double-dash-left-over", 2, (*SOLVE_TIGHT_K2, "--", "--problem", "det")),
+    ("solve-abbreviated", 0,
+     ("solve", TIGHT_K2, "--prob", "det", "--alg", "exact", "--form", "delimited", "--adv")),
+    ("solve-ambiguous-prefix", 2,
+     ("solve", TIGHT_K2, "--problem", "det", "--algorithm", "exact", "--a", "x")),
+    ("evaluate", 0, ("evaluate", TIGHT_K2, "--problem", "regret", "--solution", "2,3")),
+    ("evaluate-missing-solution", 2, ("evaluate", TIGHT_K2, "--problem", "regret")),
+    ("generate", 0,
+     ("generate", "--kind", "random", "--n", "5", "--model", "discrete", "--k", "2",
+      "--out", "x.json", "--density", "0.25", "--w-max", "3")),
+    ("generate-bad-density", 2,
+     ("generate", "--kind", "random", "--out", "x.json", "--density", "x")),
+    ("bench", 0,
+     ("bench", str(GOLDEN), "--problem", "regret", "--algorithms", "exact",
+      "--epsilon", "0.5", "--out", "t.tsv")),
+    ("bench-bad-epsilon", 2,
+     ("bench", str(GOLDEN), "--problem", "regret", "--algorithms", "exact", "--epsilon", "q")),
+    ("selfcheck", 0, ("selfcheck", "--seed", "3")),
+    ("selfcheck-stray", 2, ("selfcheck", "stray")),
+]
+
+
 class TestParserPerProcess:
     SOLVES = (
         ("tight_k2.json", "regret", "fptas", "--epsilon", "0.5"),
         ("vc_5v6e_L3.json", "maxmin", "exact"),
         ("partition_2_2_1_3.json", "regret", "midpoint"),
+    )
+    # one --help and one usage error per command
+    EXITS = (
+        *((name, "--help") for name in cli.COMMANDS),
+        ("solve", TIGHT_K2, "--problem", "regret"),
+        ("evaluate", TIGHT_K2, "--problem", "regret", "--solution", "1", "extra"),
+        ("generate", "--kind", "nope", "--out", "x.json"),
+        ("bench", str(GOLDEN), "--problem", "regret", "--algorithms", "exact", "--guard-n", "x"),
+        ("selfcheck", "--seed", "x"),
     )
 
     @staticmethod
@@ -617,13 +709,42 @@ class TestParserPerProcess:
             *rest,
         ]
 
+    @pytest.mark.parametrize(
+        "code, argv", [row[1:] for row in PARSED], ids=[row[0] for row in PARSED]
+    )
+    def test_per_command_route_parses_as_the_full_tree(self, capsys, monkeypatch, code, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._parser.cache_clear()
+        routed = parsed(capsys, cli._parse_args, argv)
+        if routed[3] is not None:  # parsed without the full tree
+            assert cli._parser.cache_info().currsize == 1
+        assert routed[0] == code
+        assert routed == parsed(capsys, cli.build_parser().parse_args, argv)
+
     def test_one_parser_serves_every_call(self, capsys):
         cli._parser.cache_clear()
         for solve in self.SOLVES:
             assert run(capsys, *self.solve_argv(*solve))[0] == 0
         info = cli._parser.cache_info()
         assert (info.misses, info.hits) == (1, len(self.SOLVES) - 1)
+        assert cli._parser("solve").prog == "rwis solve"
         assert cli.build_parser() is not cli.build_parser()
+
+    def test_each_command_builds_its_own_parser(self, capsys):
+        cli._parser.cache_clear()
+        assert run(capsys, *self.solve_argv(*self.SOLVES[0]))[0] == 0
+        code, out, _ = run(capsys, "evaluate", TIGHT_K2, "--problem", "regret", "--solution", "2,3")
+        assert code == 0 and "evaluate" in out
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        assert cli._parser("solve") is not cli._parser("evaluate")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, err = ran(capsys, ["--help"])
+        assert code == 0 and err == ""
+        assert "{solve,evaluate,generate,bench,selfcheck}" in out
+        for name, command in cli.COMMANDS.items():
+            assert re.search(rf"^    {name} +{re.escape(command.help)}$", out, re.M)
 
     def test_repeated_calls_print_the_same_bytes(self, capsys):
         cli._parser.cache_clear()
@@ -645,15 +766,18 @@ class TestParserPerProcess:
         assert first[2][2].startswith("usage: rwis solve ")
         assert [call() for call in calls] == first
 
-    def test_process_entry_point_prints_what_main_prints(self, capsys):
+    def test_process_entry_point_prints_what_main_prints(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        for solve in self.SOLVES:
-            argv = self.solve_argv(*solve)
-            expected = run(capsys, *argv)
+        codes = []
+        for argv in [self.solve_argv(*solve) for solve in self.SOLVES] + list(self.EXITS):
+            expected = ran(capsys, argv)
             proc = subprocess.run(
                 [sys.executable, "-m", "rwis.cli", *argv],
                 capture_output=True, env=env, check=False,
             )
             got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
             assert got == expected
+            codes.append(got[0])
+        assert codes == [0] * (len(self.SOLVES) + len(cli.COMMANDS)) + [2] * len(cli.COMMANDS)

@@ -25,7 +25,11 @@ from rwis import (
     vertex_cover_number,
 )
 from rwis import gen
-from rwis.gen import PARTITION_TOTAL_LIMIT, VERTEX_COVER_CELLS_LIMIT
+from rwis.gen import (
+    PARTITION_TOTAL_LIMIT,
+    VERTEX_COVER_CELLS_LIMIT,
+    VERTEX_COVER_SUBSETS_LIMIT,
+)
 
 # the worked 5-vertex example: 6 edges, cover budget 3
 DEMO_EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
@@ -183,6 +187,41 @@ class TestVertexCoverGadget:
             gen_vertex_cover(edge, VERTEX_COVER_CELLS_LIMIT // 2 + 1)
         with pytest.raises(ValidationError, match="more than 1000000$"):
             gen_vertex_cover(UndirectedGraph.from_edges(3, [(1, 2)]), 10**8)
+
+    def test_subset_limit_is_checked_before_building(self, monkeypatch):
+        # the demo oracle would try C(5, 3) = 10 vertex subsets
+        monkeypatch.setattr(gen, "VERTEX_COVER_SUBSETS_LIMIT", 10)
+        assert gen_vertex_cover(DEMO_GRAPH, 3).metadata["oracle_cover_exists"] is True
+        monkeypatch.setattr(gen, "VERTEX_COVER_SUBSETS_LIMIT", 9)
+
+        def refuse(*args):
+            raise AssertionError("built an interval")
+
+        monkeypatch.setattr(gen, "Interval", refuse)
+        with pytest.raises(ValidationError) as exc:
+            gen_vertex_cover(DEMO_GRAPH, 3)
+        assert str(exc.value) == (
+            "vertex-cover oracle would try more than 9 vertex subsets "
+            "(vertices choose cover size), the most it searches"
+        )
+        with pytest.raises(ValidationError, match="more than 9 vertex subsets"):
+            has_vertex_cover_within(DEMO_GRAPH, 3)
+        assert has_vertex_cover_within(DEMO_GRAPH, 5)  # budget >= n: no search
+
+    def test_subset_limit_default(self):
+        # C(1414, 2) = 998,991 and C(1415, 2) = 1,000,405 vertex pairs
+        assert VERTEX_COVER_SUBSETS_LIMIT == 10**6
+        within = UndirectedGraph.from_edges(1414, [(1, 2)])
+        over = UndirectedGraph.from_edges(1415, [(1, 2)])
+        assert has_vertex_cover_within(within, 2)
+        assert gen_vertex_cover(within, 2).metadata["oracle_cover_exists"] is True
+        for call in (has_vertex_cover_within, gen_vertex_cover):
+            with pytest.raises(ValidationError, match="more than 1000000 vertex subsets"):
+                call(over, 2)
+        # half of a million vertices: refused at once, without the whole binomial
+        huge = UndirectedGraph.from_edges(10**6, [(1, 2)])
+        with pytest.raises(ValidationError, match="more than 1000000 vertex subsets"):
+            has_vertex_cover_within(huge, 5 * 10**5)
 
 
 class TestPartitionGadget:
