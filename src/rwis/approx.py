@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
+
 from . import core, robust
 from .core import IntervalFamily
 from .errors import ValidationError
@@ -24,7 +26,7 @@ def _surrogate_discrete(scen: DiscreteScenarioSet) -> tuple[int, ...]:
 
 
 def _surrogate_interval(u: IntervalUncertainty) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u.lower, u.upper))
+    return tuple(map(add, u.lower, u.upper))
 
 
 def _pick(

@@ -183,13 +183,13 @@ def dispatch_solve(
 def _fmt_members(members: tuple[int, ...] | None) -> str:
     if members is None or not members:
         return "-"
-    return ",".join(str(i) for i in members)
+    return ",".join(map(str, members))
 
 
 def _fmt_vector(vec: tuple[int, ...] | None) -> str:
     if vec is None:
         return "-"
-    return ",".join(str(x) for x in vec)
+    return ",".join(map(str, vec))
 
 
 def _fmt_value(value: int) -> str:

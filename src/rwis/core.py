@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, ValidationError
@@ -50,7 +50,7 @@ def _check_enumeration_guard(n: int, guard: int | None) -> None:
 class Interval:
     """Closed integer interval [lo, hi] on the line.
 
-    Slotted: a family holds one per vertex next to its endpoint columns.
+    Slotted: a family may hold one per vertex next to its endpoint columns.
     """
 
     lo: int
@@ -77,9 +77,14 @@ def overlaps(a: Interval, b: Interval) -> bool:
 class IntervalFamily:
     """Ordered interval list; position k (1-based) is vertex v_k of the interval graph.
 
-    The endpoints are also kept as two int columns, `_los` and `_his`, with
-    their hash: equality, hashing (the key of every per-family cache) and
-    interval preparation read those instead of the Interval objects.
+    The endpoints are kept as two int columns, `_los` and `_his`, with their
+    hash: equality, hashing (the key of every per-family cache), interval
+    preparation and every solver read those, never the Interval objects.
+
+    A family parsed from a file is built from its columns alone, and its
+    `intervals` tuple is made on first access and then kept; a family built
+    from Interval objects holds them from the start.  Fields, repr, equality
+    and hashing are the same either way.
     """
 
     intervals: tuple[Interval, ...]
@@ -91,11 +96,36 @@ class IntervalFamily:
             for iv in self.intervals:
                 if not isinstance(iv, Interval):
                     raise ValidationError(f"expected Interval, got {iv!r}")
-        los = tuple(map(attrgetter("lo"), self.intervals))
-        his = tuple(map(attrgetter("hi"), self.intervals))
+        self._set_columns(
+            tuple(map(attrgetter("lo"), self.intervals)),
+            tuple(map(attrgetter("hi"), self.intervals)),
+        )
+
+    def _set_columns(self, los: tuple[int, ...], his: tuple[int, ...]) -> None:
         object.__setattr__(self, "_los", los)
         object.__setattr__(self, "_his", his)
         object.__setattr__(self, "_hash", hash((los, his)))
+
+    @classmethod
+    def _from_columns(cls, los: Sequence[int], his: Sequence[int]) -> "IntervalFamily":
+        """Family from its endpoint columns, without building Interval objects.
+
+        Every entry must already be an int.  When some lo > hi, the Interval
+        constructor raises the error for the first such pair.
+        """
+        if not all(map(le, los, his)):
+            tuple(map(Interval, los, his))  # raises for the first lo > hi
+        fam = cls.__new__(cls)
+        fam._set_columns(tuple(los), tuple(his))
+        return fam
+
+    def __getattr__(self, name: str):
+        # only reached when `intervals` is not yet set: build it from the columns
+        if name != "intervals":
+            raise AttributeError(name)
+        intervals = tuple(map(Interval, self._los, self._his))
+        object.__setattr__(self, "intervals", intervals)
+        return intervals
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -115,16 +145,16 @@ class IntervalFamily:
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self._los)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self._los)
 
     def interval(self, index: int) -> Interval:
         """Interval of vertex `index` (1-based)."""
-        if not 1 <= index <= len(self.intervals):
+        if not 1 <= index <= len(self._los):
             raise ValidationError(
-                f"vertex index {index} out of range 1..{len(self.intervals)}"
+                f"vertex index {index} out of range 1..{len(self._los)}"
             )
         return self.intervals[index - 1]
 
@@ -201,11 +231,12 @@ def _prepared(fam: IntervalFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=256)
 def _conflict_masks(fam: IntervalFamily) -> tuple[int, ...]:
     """masks[i] has bit j set (j > i, 0-based) when intervals i and j overlap."""
+    los, his = fam._los, fam._his
     n = len(fam)
     masks = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if overlaps(fam.intervals[i], fam.intervals[j]):
+            if max(los[i], los[j]) <= min(his[i], his[j]):
                 masks[i] |= 1 << j
     return tuple(masks)
 

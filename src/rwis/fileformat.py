@@ -12,7 +12,7 @@ import sys
 from operator import itemgetter
 from pathlib import Path
 
-from .core import Interval, IntervalFamily, _all_ints
+from .core import IntervalFamily, _all_ints
 from .errors import ParseError, ValidationError
 from .scenarios import DiscreteScenarioSet, Instance, IntervalUncertainty
 
@@ -63,7 +63,7 @@ def instance_to_dict(instance: Instance) -> dict:
     doc: dict = {
         "format_version": FORMAT_VERSION,
         "scaling_factor": instance.scaling_factor,
-        "intervals": [[iv.lo, iv.hi] for iv in instance.family.intervals],
+        "intervals": list(map(list, zip(instance.family._los, instance.family._his))),
     }
     if isinstance(instance.uncertainty, DiscreteScenarioSet):
         doc["uncertainty"] = {
@@ -100,7 +100,7 @@ def instance_from_dict(doc: dict) -> Instance:
     raw_intervals = doc["intervals"]
     if not isinstance(raw_intervals, list):
         raise ValidationError("intervals must be a list of [lo, hi] pairs")
-    family = IntervalFamily(tuple(map(Interval, *_require_pairs(raw_intervals))))
+    family = IntervalFamily._from_columns(*_require_pairs(raw_intervals))
     unc = doc["uncertainty"]
     if not isinstance(unc, dict) or "type" not in unc:
         raise ValidationError("uncertainty must be an object with a 'type' field")

@@ -68,7 +68,7 @@ def weight_under(members: Iterable[int], scenario: Sequence[int]) -> int:
     return sum(scenario[i - 1] for i in idx)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=256)
 def _opt_weight_cached(fam: IntervalFamily, scenario: tuple[int, ...]) -> int:
     return core.max_weight_is(fam, scenario)[1]
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import golden_defs
-from rwis import cli, gen, parse_instance, robust
+from rwis import DiscreteScenarioSet, RwisError, cli, gen, parse_instance, robust
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
@@ -112,6 +112,24 @@ class TestSolve:
         assert out1 == out2
 
 
+class TestColumnFamilies:
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_no_solver_builds_the_interval_objects(self, path):
+        for (problem, algorithm), row in cli.SOLVERS.items():
+            instance = parse_instance(path)
+            u = instance.uncertainty
+            entry = row[0 if isinstance(u, DiscreteScenarioSet) else 1]
+            if callable(entry):
+                request = cli._Request(
+                    instance, instance.family, u, Fraction(1, 2), "canonical", None
+                )
+                try:
+                    entry(request)
+                except RwisError:
+                    pass  # refusals (guard, frontier cap, det) still count
+            assert "intervals" not in vars(instance.family), (problem, algorithm)
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -120,6 +138,33 @@ class TestExitCodes:
             capsys, "solve", str(bad), "--problem", "det", "--algorithm", "exact"
         )
         assert code == 10 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "intervals,line",
+        [
+            ([[0, 1], [5, 2], [3, 4]], "invalid interval: lo=5 > hi=2"),
+            ([[0, 1], [True, 2], [3, 4]], "interval 2 entry must be an integer, got True"),
+            ([[0, 1], [2, 2.5], [3, 4]], "interval 2 entry must be an integer, got 2.5"),
+            ([[0, 1], [1, 2, 3], [3, 4]], "interval 2 must be a [lo, hi] pair, got [1, 2, 3]"),
+            ([[5, 2], [0, 1], [3, None]], "interval 3 entry must be an integer, got None"),
+        ],
+        ids=["inverted", "bool", "float", "triple", "type-error-before-inversion"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "evaluate"])
+    def test_bad_interval_keeps_its_error_line(self, capsys, tmp_path, intervals, line, command):
+        doc = {
+            "format_version": 1,
+            "scaling_factor": 1,
+            "intervals": intervals,
+            "uncertainty": {"type": "discrete", "scenarios": [[1, 2, 3]]},
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "solve": ["solve", str(bad), "--problem", "maxmin", "--algorithm", "exact"],
+            "evaluate": ["evaluate", str(bad), "--problem", "maxmin", "--solution", "1"],
+        }[command]
+        assert run(capsys, *argv) == (11, "", f"error: {line}\n")
 
     @pytest.mark.parametrize(
         "content,reason",

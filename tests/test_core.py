@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import enum
+import pickle
 import random
 
 import pytest
@@ -180,6 +182,56 @@ class TestPreparation:
         assert [f.name for f in dataclasses.fields(fam)] == ["intervals"]
         assert repr(fam) == "IntervalFamily(intervals=(Interval(lo=0, hi=1),))"
         assert fam.intervals == (Interval(0, 1),)
+
+    def test_column_built_family_matches_its_interval_built_twin(self):
+        pairs = [(0, 3), (2, 2), (4, 9), (1, 5)]
+        los, his = map(list, zip(*pairs))
+        fam = IntervalFamily._from_columns(los, his)
+        twin = IntervalFamily.from_pairs(pairs)
+        assert "intervals" not in vars(fam)
+        assert fam == twin and twin == fam and hash(fam) == hash(twin)
+        assert len(fam) == fam.n == 4 and "intervals" not in vars(fam)
+        assert fam.intervals == twin.intervals and "intervals" in vars(fam)
+        assert fam.intervals is fam.intervals
+        assert repr(fam) == repr(twin) and fam.interval(3) == Interval(4, 9)
+        assert [f.name for f in dataclasses.fields(fam)] == ["intervals"]
+
+    def test_empty_column_built_family(self):
+        fam = IntervalFamily._from_columns([], [])
+        assert fam == IntervalFamily(()) and len(fam) == 0 and fam.intervals == ()
+
+    @pytest.mark.parametrize("copier", [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["lazy", "forced"])
+    def test_column_built_family_round_trips(self, copier, forced):
+        fam = IntervalFamily._from_columns([0, 2, 5], [1, 4, 5])
+        if forced:
+            fam.intervals
+        out = copier(fam)
+        assert out == fam and hash(out) == hash(fam)
+        assert out.intervals == IntervalFamily.from_pairs([(0, 1), (2, 4), (5, 5)]).intervals
+
+    def test_lazy_attribute_leaves_other_names_missing(self):
+        fam = IntervalFamily._from_columns([0], [1])
+        with pytest.raises(AttributeError):
+            fam.weights
+        assert not hasattr(fam, "__deepcopy__")
+        assert "intervals" not in vars(fam)
+
+    @pytest.mark.parametrize("los, his, message", [
+        ([0, 5, 7], [1, 2, 3], "invalid interval: lo=5 > hi=2"),
+        ([9, 4], [1, 3], "invalid interval: lo=9 > hi=1"),
+    ])
+    def test_column_built_family_names_the_first_inverted_pair(self, los, his, message):
+        with pytest.raises(ValidationError) as info:
+            IntervalFamily._from_columns(los, his)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as twin:
+            IntervalFamily.from_pairs(zip(los, his))
+        assert str(twin.value) == message
 
     def test_non_interval_element_named(self):
         with pytest.raises(ValidationError) as info:

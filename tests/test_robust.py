@@ -90,6 +90,16 @@ class TestEvaluators:
         fam = IntervalFamily.from_pairs([(0, 2), (1, 3), (4, 5)])
         assert opt_weight(fam, (3, 4, 5)) == 9
 
+    def test_opt_weight_cache_is_bounded(self):
+        # each entry keeps a whole scenario alive, so the cache holds few
+        fam = IntervalFamily.from_pairs([(2 * i, 2 * i + 2) for i in range(12)])
+        rng = random.Random(3)
+        for _ in range(300):
+            scenario = tuple(rng.randint(0, 1 << 20) for _ in range(12))
+            assert opt_weight(fam, scenario) == core.max_weight_is(fam, scenario)[1]
+        info = robust._opt_weight_cached.cache_info()
+        assert info.currsize <= 256 and info.maxsize == 256
+
     def test_max_min_single_scenario(self):
         scen = DiscreteScenarioSet(((1, 2),))
         assert max_min_value(TWO_FREE, scen, (1,)) == 1
