@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from functools import partial
+from operator import add, attrgetter
 
 from . import core, robust
 from .core import IntervalFamily
@@ -29,18 +30,15 @@ def _surrogate_interval(u: IntervalUncertainty) -> tuple[int, ...]:
     return tuple(map(add, u.lower, u.upper))
 
 
-def _pick(
-    fam: IntervalFamily,
-    surrogate: tuple[int, ...],
-    ties: str,
-    guard: int | None,
-    score,
-) -> tuple[int, ...]:
+def _surrogate_optima(
+    fam: IntervalFamily, surrogate: tuple[int, ...], ties: str, guard: int | None
+) -> list[tuple[int, ...]]:
+    """The surrogate optima a tie mode considers: the DP's one, or all of
+    them in lexicographic order (guarded enumeration)."""
     if ties == TIE_CANONICAL:
-        return core.max_weight_is(fam, surrogate)[0]
+        return [core.max_weight_is(fam, surrogate)[0]]
     if ties == TIE_ADVERSARIAL:
-        optima = core.max_weight_is_all_optima(fam, surrogate, guard)
-        return max(optima, key=score)  # first max in lexicographic order wins
+        return core.max_weight_is_all_optima(fam, surrogate, guard)
     raise ValidationError(f"unknown tie mode {ties!r}")
 
 
@@ -58,15 +56,10 @@ def k_approx_regret(
     O(Kn + n log n).  `ties="adversarial"` explores every surrogate optimum
     and returns the worst one (guarded enumeration; used to certify tightness).
     """
-    surrogate = _surrogate_discrete(scen)
-    members = _pick(
-        fam,
-        surrogate,
-        ties,
-        guard,
-        lambda m: robust.max_regret_discrete(fam, scen, m).regret_value,
-    )
-    return robust.max_regret_discrete(fam, scen, members)
+    optima = _surrogate_optima(fam, _surrogate_discrete(scen), ties, guard)
+    consts = robust._optima(fam, scen)  # after the surrogate solve has checked sizes
+    reports = (robust._regret_report(scen, consts, m) for m in optima)
+    return max(reports, key=attrgetter("regret_value"))  # the first worst wins
 
 
 def midpoint_approx_regret(
@@ -81,15 +74,9 @@ def midpoint_approx_regret(
     lower + upper, then reports that solution's exact maximal regret, which
     is at most twice the optimum.
     """
-    surrogate = _surrogate_interval(u)
-    members = _pick(
-        fam,
-        surrogate,
-        ties,
-        guard,
-        lambda m: robust.max_regret_interval(fam, u, m).regret_value,
-    )
-    return robust.max_regret_interval(fam, u, members)
+    optima = _surrogate_optima(fam, _surrogate_interval(u), ties, guard)
+    reports = (robust.max_regret_interval(fam, u, m) for m in optima)
+    return max(reports, key=attrgetter("regret_value"))  # the first worst wins
 
 
 def adversarial_ratio(
@@ -106,19 +93,18 @@ def adversarial_ratio(
     when only the optimum is zero, otherwise an exact Fraction.
     """
     if isinstance(uncertainty, DiscreteScenarioSet):
-        expected = "kapprox"
-        approximate = k_approx_regret
-        opt = robust.solve_regret_discrete_exact(fam, uncertainty).regret_value
+        expected, approximate = "kapprox", k_approx_regret
+        exact = partial(robust.solve_regret_discrete_exact, fam, uncertainty)
     elif isinstance(uncertainty, IntervalUncertainty):
-        expected = "midpoint"
-        approximate = midpoint_approx_regret
-        opt = robust.solve_regret_interval_exact(fam, uncertainty, guard).regret_value
+        expected, approximate = "midpoint", midpoint_approx_regret
+        exact = partial(robust.solve_regret_interval_exact, fam, uncertainty, guard)
     else:
         raise ValidationError(f"unknown uncertainty model {uncertainty!r}")
     if algorithm is not None and algorithm != expected:
         raise ValidationError(
             f"algorithm {algorithm!r} does not apply to this uncertainty model"
         )
+    opt = exact().regret_value
     worst = approximate(fam, uncertainty, ties=TIE_ADVERSARIAL, guard=guard).regret_value
     if opt == 0:
         return Fraction(1) if worst == 0 else math.inf

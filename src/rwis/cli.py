@@ -491,9 +491,10 @@ def _regret_formula_holds(instance: Instance) -> bool:
     """The one-scenario interval regret against every extreme scenario."""
     fam, u = instance.family, instance.uncertainty
     extremes = list(extreme_scenarios(u))
+    optima = [robust.opt_weight(fam, s) for s in extremes]
     return all(
         robust.max_regret_interval(fam, u, members).regret_value
-        == max(robust.opt_weight(fam, s) - robust.weight_under(members, s) for s in extremes)
+        == max(c - robust.weight_under(members, s) for c, s in zip(optima, extremes))
         for members in core.enumerate_independent_sets(fam)
     )
 

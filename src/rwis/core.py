@@ -46,6 +46,12 @@ def _check_enumeration_guard(n: int, guard: int | None) -> None:
         raise GuardError(f"family size {n} exceeds enumeration guard {limit}")
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: the file format has no booleans, so a value
+    written from a bool could not be read back."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """Closed integer interval [lo, hi] on the line.
@@ -57,12 +63,13 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, int) or not isinstance(self.hi, int):
+        lo, hi = self.lo, self.hi
+        if not (type(lo) is type(hi) is int or _is_int(lo) and _is_int(hi)):
             raise ValidationError(
-                f"interval endpoints must be integers, got [{self.lo!r}, {self.hi!r}]"
+                f"interval endpoints must be integers, got [{lo!r}, {hi!r}]"
             )
-        if self.lo > self.hi:
-            raise ValidationError(f"invalid interval: lo={self.lo} > hi={self.hi}")
+        if lo > hi:
+            raise ValidationError(f"invalid interval: lo={lo} > hi={hi}")
 
 
 def overlaps(a: Interval, b: Interval) -> bool:
@@ -78,8 +85,9 @@ class IntervalFamily:
     """Ordered interval list; position k (1-based) is vertex v_k of the interval graph.
 
     The endpoints are kept as two int columns, `_los` and `_his`, with their
-    hash: equality, hashing (the key of every per-family cache), interval
-    preparation and every solver read those, never the Interval objects.
+    hash: equality, hashing (the key of the interval-preparation cache),
+    interval preparation and every solver read those, never the Interval
+    objects.
 
     A family parsed from a file is built from its columns alone, and its
     `intervals` tuple is made on first access and then kept; a family built
@@ -228,19 +236,6 @@ def _prepared(fam: IntervalFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return order, preds
 
 
-@lru_cache(maxsize=256)
-def _conflict_masks(fam: IntervalFamily) -> tuple[int, ...]:
-    """masks[i] has bit j set (j > i, 0-based) when intervals i and j overlap."""
-    los, his = fam._los, fam._his
-    n = len(fam)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if max(los[i], los[j]) <= min(his[i], his[j]):
-                masks[i] |= 1 << j
-    return tuple(masks)
-
-
 def max_weight_is(
     fam: IntervalFamily, weights: Iterable[int]
 ) -> tuple[tuple[int, ...], int]:
@@ -283,7 +278,13 @@ def _sets_with_sums(
     """
     n = len(fam)
     _check_enumeration_guard(n, guard)
-    masks = _conflict_masks(fam)
+    # masks[i] has bit j set (j > i) when intervals i and j overlap
+    los, his = fam._los, fam._his
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if max(los[i], los[j]) <= min(his[i], his[j]):
+                masks[i] |= 1 << j
     k = len(columns)
     sums = [0] * k
     chosen: list[int] = []

@@ -12,7 +12,7 @@ import sys
 from operator import itemgetter
 from pathlib import Path
 
-from .core import IntervalFamily, _all_ints
+from .core import IntervalFamily, _all_ints, _is_int
 from .errors import ParseError, ValidationError
 from .scenarios import DiscreteScenarioSet, Instance, IntervalUncertainty
 
@@ -28,7 +28,7 @@ _TOP_LEVEL_FIELDS = {
 
 
 def _require_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import inf
 from operator import add, sub
@@ -68,14 +67,29 @@ def weight_under(members: Iterable[int], scenario: Sequence[int]) -> int:
     return sum(scenario[i - 1] for i in idx)
 
 
-@lru_cache(maxsize=256)
-def _opt_weight_cached(fam: IntervalFamily, scenario: tuple[int, ...]) -> int:
+def opt_weight(fam: IntervalFamily, scenario: Iterable[int]) -> int:
+    """Weight of a maximum-weight independent set under one scenario."""
     return core.max_weight_is(fam, scenario)[1]
 
 
-def opt_weight(fam: IntervalFamily, scenario: Iterable[int]) -> int:
-    """Weight of a maximum-weight independent set under one scenario."""
-    return _opt_weight_cached(fam, tuple(scenario))
+def _optima(fam: IntervalFamily, scen: DiscreteScenarioSet) -> list[int]:
+    """The optimum c_k under each scenario: the constants of one regret solve."""
+    return [opt_weight(fam, s) for s in scen.scenarios]
+
+
+def _regret_report(
+    scen: DiscreteScenarioSet,
+    consts: Sequence[int],
+    members: tuple[int, ...],
+    sums: Sequence[int] | None = None,
+) -> RegretReport:
+    """Regret max_k (c_k - sums_k) of a checked solution, witnessed by the
+    first scenario attaining it; `sums` defaults to the members' weights."""
+    if sums is None:
+        sums = [sum(s[i - 1] for i in members) for s in scen.scenarios]
+    gaps = list(map(sub, consts, sums))
+    regret = max(gaps)
+    return RegretReport(members, regret, scen.scenarios[gaps.index(regret)])
 
 
 def _checked_solution(fam: IntervalFamily, members: Iterable[int]) -> tuple[int, ...]:
@@ -103,14 +117,7 @@ def max_regret_discrete(
     """
     _require_same_size(fam, scen.n)
     idx = _checked_solution(fam, members)
-    best_gap = None
-    witness = scen.scenarios[0]
-    for s in scen.scenarios:
-        gap = opt_weight(fam, s) - sum(s[i - 1] for i in idx)
-        if best_gap is None or gap > best_gap:
-            best_gap = gap
-            witness = s
-    return RegretReport(idx, best_gap, witness)
+    return _regret_report(scen, _optima(fam, scen), idx)
 
 
 def max_regret_interval(
@@ -340,13 +347,11 @@ def solve_regret_discrete_exact(
     coordinate, so restricting attention to Pareto-maximal vectors is sound.
     """
     _require_same_size(fam, scen.n)
-    consts = [opt_weight(fam, s) for s in scen.scenarios]
+    consts = _optima(fam, scen)
     members, vec = _frontier_best(
         fam, scen.scenarios, resolve_frontier_cap(cap), _regret_score(consts)
     )
-    gaps = list(map(sub, consts, vec))
-    regret = max(gaps)
-    return RegretReport(members, regret, scen.scenarios[gaps.index(regret)])
+    return _regret_report(scen, consts, members, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +378,13 @@ def solve_regret_discrete_bruteforce(
 ) -> RegretReport:
     """Min-max regret by full enumeration; lexicographically smallest optimum."""
     _require_same_size(fam, scen.n)
-    consts = [opt_weight(fam, s) for s in scen.scenarios]
+    consts = _optima(fam, scen)
     best = None
     for members, sums in core._sets_with_sums(fam, scen.scenarios, guard):
         regret = max(map(sub, consts, sums))
         if best is None or regret < best[0]:
             best = regret, members, sums
-    regret, members, sums = best
-    witness = scen.scenarios[list(map(sub, consts, sums)).index(regret)]
-    return RegretReport(members, regret, witness)
+    return _regret_report(scen, consts, best[1], best[2])
 
 
 def solve_regret_interval_exact(
@@ -574,21 +577,25 @@ def fptas_regret_discrete(
     for weights, ceilings for the per-scenario deterministic optima) distorts
     any solution's regret by at most t*(n+1) <= eps*L <= eps*opt, so the
     frontier-DP minimizer of the scaled regret meets the guarantee.  Its
-    exact regret is reported.
+    exact regret is reported.  The approximation, the scaled constants and
+    the final evaluation share one computation of the scenario optima.
     """
-    from .approx import k_approx_regret  # local import to avoid a cycle
+    from .approx import _surrogate_discrete  # local import to avoid a cycle
 
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
     n = len(fam)
-    base = k_approx_regret(fam, scen)
+    consts = _optima(fam, scen)
+    base = _regret_report(
+        scen, consts, core.max_weight_is(fam, _surrogate_discrete(scen))[0]
+    )
     if base.regret_value == 0 or n == 0:
         return base
     t = e * base.regret_value / (scen.k * (n + 1))
     num, den = t.numerator, t.denominator
-    consts = [-(-opt_weight(fam, s) * den // num) for s in scen.scenarios]
+    scaled_consts = [-(-c * den // num) for c in consts]
     scaled = [[w * den // num for w in s] for s in scen.scenarios]
     members, _ = _frontier_best(
-        fam, scaled, resolve_frontier_cap(cap), _regret_score(consts)
+        fam, scaled, resolve_frontier_cap(cap), _regret_score(scaled_consts)
     )
-    return max_regret_discrete(fam, scen, members)
+    return _regret_report(scen, consts, members)

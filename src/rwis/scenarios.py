@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Iterator
 
-from .core import IntervalFamily, _all_ints, check_members, resolve_guard
+from .core import IntervalFamily, _all_ints, _is_int, check_members, resolve_guard
 from .errors import GuardError, ValidationError
 
 DEFAULT_EXTREME_GUARD = 12
@@ -22,7 +22,7 @@ def _check_vector(v: Iterable[int], what: str) -> tuple[int, ...]:
     if not out or (_all_ints(out) and min(out) >= 0):
         return out
     for x in out:
-        if not isinstance(x, int):
+        if not _is_int(x):
             raise ValidationError(f"{what} must contain integers, got {x!r}")
         if x < 0:
             raise ValidationError(f"{what} must be nonnegative, got {x}")
@@ -111,7 +111,7 @@ class Instance:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scaling_factor, int) or self.scaling_factor < 1:
+        if not _is_int(self.scaling_factor) or self.scaling_factor < 1:
             raise ValidationError(
                 f"scaling factor must be a positive integer, got {self.scaling_factor!r}"
             )

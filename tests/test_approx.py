@@ -6,6 +6,7 @@ import pytest
 
 from rwis import (
     DiscreteScenarioSet,
+    GuardError,
     IntervalFamily,
     IntervalUncertainty,
     ValidationError,
@@ -19,6 +20,7 @@ from rwis import (
     solve_regret_discrete_exact,
     solve_regret_interval_exact,
 )
+from rwis import approx, core, robust
 
 import oracles
 
@@ -67,6 +69,22 @@ class TestKApprox:
     def test_unknown_tie_mode(self):
         inst = gen_tight_k(2)
         with pytest.raises(ValidationError):
+            k_approx_regret(inst.family, inst.uncertainty, ties="worst")
+
+    @pytest.mark.parametrize("ties", ["canonical", "adversarial"])
+    def test_size_mismatch_names_the_weight_vector(self, ties):
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        scen = DiscreteScenarioSet(((1, 2, 3),))
+        with pytest.raises(ValidationError) as info:
+            k_approx_regret(fam, scen, ties=ties)
+        assert str(info.value) == "weight vector has length 3, family has 2 vertices"
+
+    def test_refusals_come_before_any_scenario_optimum(self, monkeypatch):
+        inst = gen_random(n=21, model="discrete", k=2, w_max=5, density=0.5, seed=1)
+        monkeypatch.setattr(robust, "opt_weight", lambda *a: pytest.fail("solved"))
+        with pytest.raises(GuardError):
+            k_approx_regret(inst.family, inst.uncertainty, ties="adversarial")
+        with pytest.raises(ValidationError, match="unknown tie mode"):
             k_approx_regret(inst.family, inst.uncertainty, ties="worst")
 
 
@@ -147,6 +165,34 @@ class TestAdversarialRatio:
         inst = gen_tight_midpoint()
         with pytest.raises(ValidationError):
             adversarial_ratio(inst.family, inst.uncertainty, algorithm="kapprox")
+
+    def test_algorithm_mismatch_refused_before_the_guard(self):
+        # 30 vertices exceed the enumeration guard of the exact solver
+        inst = gen_random(n=30, model="interval", w_max=5, density=0.5, seed=3)
+        with pytest.raises(ValidationError) as info:
+            adversarial_ratio(inst.family, inst.uncertainty, algorithm="kapprox")
+        assert str(info.value) == (
+            "algorithm 'kapprox' does not apply to this uncertainty model"
+        )
+
+    @pytest.mark.parametrize(
+        "inst,algorithm",
+        [(gen_tight_k(2), "midpoint"), (gen_tight_midpoint(), "kapprox")],
+        ids=["discrete", "ranges"],
+    )
+    def test_algorithm_mismatch_refused_before_solving(self, monkeypatch, inst, algorithm):
+        calls = []
+        for module, name in [
+            (core, "max_weight_is"),
+            (robust, "solve_regret_discrete_exact"),
+            (robust, "solve_regret_interval_exact"),
+            (approx, "k_approx_regret"),
+            (approx, "midpoint_approx_regret"),
+        ]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+        with pytest.raises(ValidationError, match="does not apply"):
+            adversarial_ratio(inst.family, inst.uncertainty, algorithm=algorithm)
+        assert calls == []
 
     def test_ratio_bounded_by_guarantee_everywhere(self):
         # the ratio bound holds for every tie-broken output, so the worst tie

@@ -52,6 +52,18 @@ class TestInterval:
         with pytest.raises(ValidationError):
             Interval(0.5, 2)
 
+    @pytest.mark.parametrize("lo,hi", [(True, 2), (0, True), (False, False)])
+    def test_rejects_bool(self, lo, hi):
+        # the file format has no booleans: a family written from them could
+        # not be read back
+        with pytest.raises(ValidationError) as info:
+            Interval(lo, hi)
+        assert str(info.value) == (
+            f"interval endpoints must be integers, got [{lo!r}, {hi!r}]"
+        )
+        with pytest.raises(ValidationError):
+            IntervalFamily.from_pairs([(0, 1), (lo, hi)])
+
     @pytest.mark.parametrize(
         "a,b,expected",
         [

@@ -1,5 +1,10 @@
+import functools
+import gc
+import importlib
+import pkgutil
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,7 @@ from rwis import (
     fptas_regret_discrete,
     gen_partition,
     gen_random,
+    gen_tight_k,
     gen_vertex_cover,
     has_partition,
     midpoint_approx_regret,
@@ -36,7 +42,8 @@ from rwis import (
     weight_under,
     worst_case_scenario,
 )
-from rwis import core, robust
+import rwis
+from rwis import approx, core, robust
 from rwis.robust import resolve_frontier_cap
 
 import oracles
@@ -90,15 +97,28 @@ class TestEvaluators:
         fam = IntervalFamily.from_pairs([(0, 2), (1, 3), (4, 5)])
         assert opt_weight(fam, (3, 4, 5)) == 9
 
-    def test_opt_weight_cache_is_bounded(self):
-        # each entry keeps a whole scenario alive, so the cache holds few
-        fam = IntervalFamily.from_pairs([(2 * i, 2 * i + 2) for i in range(12)])
+    def test_opt_weight_retains_no_scenario(self):
+        # a solve computes its scenario optima itself; nothing keeps a
+        # scenario alive between calls (a cache keyed by 40 of these
+        # n=5000 scenarios would hold about 7 MiB)
+        fam = IntervalFamily.from_pairs([(2 * i, 2 * i + 2) for i in range(5000)])
         rng = random.Random(3)
-        for _ in range(300):
-            scenario = tuple(rng.randint(0, 1 << 20) for _ in range(12))
-            assert opt_weight(fam, scenario) == core.max_weight_is(fam, scenario)[1]
-        info = robust._opt_weight_cached.cache_info()
-        assert info.currsize <= 256 and info.maxsize == 256
+        weights = range(10**6 + 1)
+        scenario = tuple(rng.choices(weights, k=5000))
+        # warm-up: builds the family's cached interval preparation
+        assert opt_weight(fam, scenario) == core.max_weight_is(fam, scenario)[1]
+        del scenario
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(40):
+                opt_weight(fam, tuple(rng.choices(weights, k=5000)))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
     def test_max_min_single_scenario(self):
         scen = DiscreteScenarioSet(((1, 2),))
@@ -147,6 +167,98 @@ class TestEvaluators:
             report.solution, report.witness_scenario
         )
         assert report.regret_value == gap >= 0
+
+
+def _functools_caches():
+    """`module.name` of every functools cache in every rwis module, classes included."""
+    found = set()
+    for info in pkgutil.iter_modules(rwis.__path__):
+        module = importlib.import_module(f"rwis.{info.name}")
+        scopes = [(module.__name__, vars(module))]
+        scopes += [
+            (f"{module.__name__}.{cls.__name__}", vars(cls))
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+        ]
+        for prefix, namespace in scopes:
+            for name, obj in namespace.items():
+                defined_here = getattr(obj, "__module__", module.__name__) == module.__name__
+                if defined_here and (
+                    hasattr(obj, "cache_clear") or isinstance(obj, functools.cached_property)
+                ):
+                    found.add(f"{prefix}.{name}".removeprefix("rwis."))
+    return found
+
+
+# Tied and duplicated gaps: on TWO_CLIQUE every solution's maximal regret is
+# attained by a duplicated scenario and by a distinct one, so the witness
+# shows which attaining scenario a solver names.
+TIED_SCEN = DiscreteScenarioSet(
+    ((1, 0), (0, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 1))
+)
+
+
+class TestScenarioOptima:
+    def test_only_interval_preparation_and_parsers_are_cached(self):
+        assert _functools_caches() == {"core._prepared", "cli._parser"}
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda fam, scen: max_regret_discrete(fam, scen, (1, 3)),
+            solve_regret_discrete_exact,
+            solve_regret_discrete_bruteforce,
+            lambda fam, scen: fptas_regret_discrete(fam, scen, Fraction(1, 2)),
+            lambda fam, scen: fptas_regret_discrete(fam, scen, Fraction(1, 100)),
+            approx.k_approx_regret,
+            lambda fam, scen: approx.k_approx_regret(fam, scen, ties="adversarial"),
+        ],
+        ids=["evaluate", "exact", "bruteforce", "fptas", "fptas-fine",
+             "kapprox", "kapprox-adversarial"],
+    )
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_each_scenario_optimum_computed_once(self, monkeypatch, solve, k):
+        # tight_k has 2^k surrogate optima and a nonzero regret, so neither
+        # the adversarial scan nor the fptas stops early
+        inst = gen_tight_k(k)
+        fam, scen = inst.family, inst.uncertainty
+        expected = solve(fam, scen)
+        seen = []
+        real = robust.opt_weight
+
+        def spy(fam, scenario):
+            seen.append(scenario)
+            return real(fam, scenario)
+
+        monkeypatch.setattr(robust, "opt_weight", spy)
+        assert solve(fam, scen) == expected
+        assert seen == list(scen.scenarios)
+
+    @pytest.mark.parametrize("members", [(), (1,), (2,)])
+    def test_evaluation_names_first_tied_scenario(self, members):
+        report = max_regret_discrete(TWO_CLIQUE, TIED_SCEN, members)
+        gaps = [
+            opt_weight(TWO_CLIQUE, s) - weight_under(members, s)
+            for s in TIED_SCEN.scenarios
+        ]
+        attaining = [s for s, gap in zip(TIED_SCEN.scenarios, gaps) if gap == max(gaps)]
+        assert len(attaining) > len(set(attaining)) >= 2  # duplicated and tied
+        assert report == RegretReport(members, max(gaps), attaining[0])
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            solve_regret_discrete_exact,
+            solve_regret_discrete_bruteforce,
+            lambda fam, scen: fptas_regret_discrete(fam, scen, Fraction(1, 3)),
+            approx.k_approx_regret,
+            lambda fam, scen: approx.k_approx_regret(fam, scen, ties="adversarial"),
+        ],
+        ids=["exact", "bruteforce", "fptas", "kapprox", "kapprox-adversarial"],
+    )
+    def test_solvers_name_first_tied_scenario(self, solve):
+        report = solve(TWO_CLIQUE, TIED_SCEN)
+        assert report == max_regret_discrete(TWO_CLIQUE, TIED_SCEN, report.solution)
 
 
 class TestMaxMinInterval:

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,10 @@ from rwis import (
     extreme_scenarios,
     worst_case_scenario,
 )
+
+
+class Small(enum.IntEnum):
+    ONE = 1
 
 
 @st.composite
@@ -56,6 +62,32 @@ class TestTypes:
         fam = IntervalFamily.from_pairs([(0, 1)])
         with pytest.raises(ValidationError):
             Instance(fam, DiscreteScenarioSet(((1,),)), scaling_factor=0)
+
+    # The file format has no booleans, so each constructor refuses them as
+    # the reader does; an int subclass such as IntEnum is still accepted.
+
+    def test_scenario_bool_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            DiscreteScenarioSet(((1, 2), (1, True)))
+        assert str(info.value) == "scenario weights must contain integers, got True"
+        assert DiscreteScenarioSet(((Small.ONE, 2),)).scenarios == ((1, 2),)
+
+    def test_range_bool_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            IntervalUncertainty((0, False), (1, 1))
+        assert str(info.value) == "lower bounds must contain integers, got False"
+        with pytest.raises(ValidationError) as info:
+            IntervalUncertainty((0, 0), (True, 1))
+        assert str(info.value) == "upper bounds must contain integers, got True"
+        assert IntervalUncertainty((Small.ONE,), (Small.ONE,)).upper == (1,)
+
+    def test_instance_scaling_bool_rejected(self):
+        fam = IntervalFamily.from_pairs([(0, 1)])
+        with pytest.raises(ValidationError) as info:
+            Instance(fam, DiscreteScenarioSet(((1,),)), scaling_factor=True)
+        assert str(info.value) == "scaling factor must be a positive integer, got True"
+        inst = Instance(fam, DiscreteScenarioSet(((1,),)), scaling_factor=Small.ONE)
+        assert inst.scaling_factor == 1
 
 
 class TestWorstCaseScenario:
