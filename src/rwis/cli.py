@@ -15,7 +15,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,21 +35,6 @@ EXIT_PARSE = 10
 EXIT_VALIDATION = 11
 EXIT_GUARD = 12
 EXIT_UNSUPPORTED = 13
-
-
-@dataclass
-class ResultRecord:
-    """One solver invocation: what ran, what it returned."""
-
-    instance_id: str
-    problem: str
-    algorithm: str
-    value: int
-    solution: tuple[int, ...]
-    witness_scenario: tuple[int, ...] | None
-    epsilon: Fraction | float | None
-    scaling_factor: int
-    wall_ms: float | None
 
 
 def _deterministic_vector(instance: Instance) -> tuple[int, ...]:
@@ -206,27 +190,6 @@ def _fmt_value(value: int) -> str:
         ) from None
 
 
-def render_record(record: ResultRecord, fmt: str, timings: bool) -> str:
-    fields = [
-        ("instance", record.instance_id),
-        ("problem", record.problem),
-        ("algorithm", record.algorithm),
-        ("value", _fmt_value(record.value)),
-        ("solution", _fmt_members(record.solution)),
-        ("witness", _fmt_vector(record.witness_scenario)),
-        ("epsilon", "-" if record.epsilon is None else repr(float(record.epsilon))),
-        ("scaling_factor", str(record.scaling_factor)),
-    ]
-    if timings:
-        fields.append(("wall_ms", f"{record.wall_ms:.3f}"))
-    if fmt == "delimited":
-        header = "\t".join(name for name, _ in fields)
-        row = "\t".join(value for _, value in fields)
-        return f"{header}\n{row}\n"
-    width = max(len(name) for name, _ in fields)
-    return "".join(f"{name.ljust(width)}  {value}\n" for name, value in fields)
-
-
 def _instance_id(path: Path, instance: Instance) -> str:
     meta_id = instance.metadata.get("id")
     return str(meta_id) if meta_id is not None else path.stem
@@ -243,10 +206,44 @@ def _check_epsilon(eps: Fraction | float | None) -> None:
         raise ValidationError("epsilon is too large in magnitude for a float")
 
 
+def _write_result(
+    args: argparse.Namespace,
+    instance: Instance,
+    algorithm: str,
+    value: int,
+    solution: tuple[int, ...],
+    witness: tuple[int, ...] | None,
+    epsilon: Fraction | float | None = None,
+    wall_ms: float | None = None,
+) -> int:
+    """Print one result's fields in the --format layout; wall_ms, when
+    given, is the last field."""
+    fields = [
+        ("instance", _instance_id(Path(args.instance), instance)),
+        ("problem", args.problem),
+        ("algorithm", algorithm),
+        ("value", _fmt_value(value)),
+        ("solution", _fmt_members(solution)),
+        ("witness", _fmt_vector(witness)),
+        ("epsilon", "-" if epsilon is None else repr(float(epsilon))),
+        ("scaling_factor", str(instance.scaling_factor)),
+    ]
+    if wall_ms is not None:
+        fields.append(("wall_ms", f"{wall_ms:.3f}"))
+    if args.format == "delimited":
+        header = "\t".join(name for name, _ in fields)
+        row = "\t".join(value for _, value in fields)
+        text = f"{header}\n{row}\n"
+    else:
+        width = max(len(name) for name, _ in fields)
+        text = "".join(f"{name.ljust(width)}  {value}\n" for name, value in fields)
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_epsilon(args.epsilon)
-    path = Path(args.instance)
-    instance = parse_instance(path)
+    instance = parse_instance(args.instance)
     start = time.perf_counter()
     value, members, witness = dispatch_solve(
         instance,
@@ -257,19 +254,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         guard=args.guard_n,
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
-    record = ResultRecord(
-        instance_id=_instance_id(path, instance),
-        problem=args.problem,
-        algorithm=args.algorithm,
-        value=value,
-        solution=members,
-        witness_scenario=witness,
-        epsilon=args.epsilon,
-        scaling_factor=instance.scaling_factor,
-        wall_ms=wall_ms,
+    return _write_result(
+        args, instance, args.algorithm, value, members, witness,
+        epsilon=args.epsilon, wall_ms=wall_ms if args.timings else None,
     )
-    sys.stdout.write(render_record(record, args.format, args.timings))
-    return EXIT_OK
 
 
 def _parse_solution_arg(text: str) -> tuple[int, ...]:
@@ -283,44 +271,25 @@ def _parse_solution_arg(text: str) -> tuple[int, ...]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    path = Path(args.instance)
-    instance = parse_instance(path)
+    """Score the typed solution through the library's checked evaluators.
+
+    det and maxmin score it over one scenario set: the instance's own, or
+    the lower bounds for ranges (the worst case of every solution).
+    """
+    instance = parse_instance(args.instance)
     members = _parse_solution_arg(args.solution)
-    fam = instance.family
-    u = instance.uncertainty
-    witness: tuple[int, ...] | None = None
-    if args.problem == "det":
-        weights = _deterministic_vector(instance)
-        if not core.is_independent(fam, members):
-            raise ValidationError(f"vertex set {members} is not independent")
-        value = robust.weight_under(members, weights)
-    elif args.problem == "maxmin":
-        if isinstance(u, DiscreteScenarioSet):
-            value = robust.max_min_value(fam, u, members)
-        else:
-            if not core.is_independent(fam, members):
-                raise ValidationError(f"vertex set {members} is not independent")
-            value = robust.weight_under(members, u.lower)
-    else:
-        report = (
-            robust.max_regret_discrete(fam, u, members)
-            if isinstance(u, DiscreteScenarioSet)
-            else robust.max_regret_interval(fam, u, members)
-        )
+    fam, u = instance.family, instance.uncertainty
+    discrete = isinstance(u, DiscreteScenarioSet)
+    if args.problem == "regret":
+        evaluator = robust.max_regret_discrete if discrete else robust.max_regret_interval
+        report = evaluator(fam, u, members)
         value, witness = report.regret_value, report.witness_scenario
-    record = ResultRecord(
-        instance_id=_instance_id(path, instance),
-        problem=args.problem,
-        algorithm="evaluate",
-        value=value,
-        solution=members,
-        witness_scenario=witness,
-        epsilon=None,
-        scaling_factor=instance.scaling_factor,
-        wall_ms=0.0,
-    )
-    sys.stdout.write(render_record(record, args.format, timings=False))
-    return EXIT_OK
+    else:
+        if args.problem == "det":
+            _deterministic_vector(instance)  # refuses an uncertain instance
+        scen = u if discrete else DiscreteScenarioSet((u.lower,))
+        value, witness = robust.max_min_value(fam, scen, members), None
+    return _write_result(args, instance, "evaluate", value, members, witness)
 
 
 def _parse_edges_arg(text: str) -> list[tuple[int, int]]:

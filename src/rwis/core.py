@@ -185,7 +185,7 @@ def check_members(n: int, members: Iterable[int]) -> tuple[int, ...]:
     if not out or (_all_ints(out) and out[0] >= 1 and out[-1] <= n):
         return out
     for i in out:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if not _is_int(i) or not 1 <= i <= n:
             raise ValidationError(f"vertex index {i!r} out of range 1..{n}")
     return out
 
@@ -200,7 +200,7 @@ def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
     if not w or (_all_ints(w) and min(w) >= 0):
         return w
     for x in w:
-        if not isinstance(x, int):
+        if not _is_int(x):
             raise ValidationError(f"weights must be integers, got {x!r}")
         if x < 0:
             raise ValidationError(f"negative weight {x} rejected")
@@ -219,7 +219,9 @@ def _is_independent(fam: IntervalFamily, idx: tuple[int, ...]) -> bool:
     return all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ivs, ivs[1:]))
 
 
-@lru_cache(maxsize=256)
+# Families whose preparation is kept: a solve works on one family, and each
+# kept n=5000 family holds about 0.7 MiB.
+@lru_cache(maxsize=4)
 def _prepared(fam: IntervalFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sort positions by right endpoint and precompute predecessor indices.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import Interval, IntervalFamily
+from .core import Interval, IntervalFamily, _is_int
 from .errors import ValidationError
 from .scenarios import DiscreteScenarioSet, Instance, IntervalUncertainty
 
@@ -27,7 +27,7 @@ class UndirectedGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vertices, int) or self.n_vertices < 0:
+        if not _is_int(self.n_vertices) or self.n_vertices < 0:
             raise ValidationError(f"bad vertex count {self.n_vertices!r}")
         norm = set()
         for e in self.edges:
@@ -57,7 +57,7 @@ class PartitionInput:
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
         for a in self.values:
-            if not isinstance(a, int) or a < 1:
+            if not _is_int(a) or a < 1:
                 raise ValidationError(f"partition values must be positive integers, got {a!r}")
 
 
@@ -300,6 +300,9 @@ def gen_tight_midpoint() -> Instance:
 # ---------------------------------------------------------------------------
 # Random instances
 
+# Largest weight table gen_random draws: n x k scenario cells, or 2n bounds.
+RANDOM_CELLS_LIMIT = 10**6
+
 
 def gen_random(
     n: int,
@@ -315,7 +318,8 @@ def gen_random(
     lays the intervals out pairwise disjoint by construction, density 1 packs
     every start at 0.  model "discrete" draws k scenarios of uniform weights
     in [0, w_max]; model "interval" draws a lower <= upper pair per vertex.
-    The same arguments always produce the identical instance.
+    The same arguments always produce the identical instance.  Instances of
+    more than RANDOM_CELLS_LIMIT weight cells are refused before any draw.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -330,6 +334,11 @@ def gen_random(
             raise ValidationError(f"discrete model needs k >= 1 scenarios, got {k!r}")
     elif k is not None:
         raise ValidationError("k only applies to the discrete model")
+    if n * (2 if k is None else k) > RANDOM_CELLS_LIMIT:
+        raise ValidationError(
+            f"random instance needs more than {RANDOM_CELLS_LIMIT} weight cells "
+            "(vertices x scenarios, or 2 x vertices for ranges)"
+        )
     rng = random.Random(seed)
     span = 4 * n
     intervals = []

@@ -112,6 +112,90 @@ class TestSolve:
         assert out1 == out2
 
 
+def _fields(out):
+    return dict(line.split(None, 1) for line in out.strip().splitlines())
+
+
+def _instance_file(tmp_path, name, intervals, uncertainty):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "scaling_factor": 1,
+        "intervals": intervals,
+        "uncertainty": uncertainty,
+    }))
+    return path
+
+
+# four intervals, 1 and 2 overlapping: a one-scenario and a degenerate-range
+# instance, the two kinds `det` accepts
+SMALL_INTERVALS = [[0, 2], [1, 3], [4, 5], [6, 7]]
+ONE_SCENARIO = {"type": "discrete", "scenarios": [[3, 4, 5, 1]]}
+DEGENERATE_RANGES = {"type": "interval", "lower": [3, 4, 5, 1], "upper": [3, 4, 5, 1]}
+
+
+@pytest.fixture(params=[
+    *sorted(path.name for path in GOLDEN.glob("*.json")), "k1", "degenerate",
+])
+def any_instance(request, tmp_path):
+    """Every golden file, plus a one-scenario and a degenerate-range instance."""
+    if request.param == "k1":
+        return _instance_file(tmp_path, "k1", SMALL_INTERVALS, ONE_SCENARIO)
+    if request.param == "degenerate":
+        return _instance_file(tmp_path, "degenerate", SMALL_INTERVALS, DEGENERATE_RANGES)
+    return GOLDEN / request.param
+
+
+class TestEvaluateReproducesSolve:
+    @pytest.mark.parametrize(
+        "problem,algorithm", list(cli.SOLVERS), ids="-".join
+    )
+    def test_evaluate_prints_the_reported_value_and_witness(
+        self, capsys, any_instance, problem, algorithm
+    ):
+        code, out, _ = run(
+            capsys, "solve", str(any_instance), "--problem", problem,
+            "--algorithm", algorithm, "--epsilon", "1/2",
+        )
+        if code != 0:
+            return  # this row refuses this instance
+        solved = _fields(out)
+        code, out, err = run(
+            capsys, "evaluate", str(any_instance), "--problem", problem,
+            "--solution", solved["solution"],
+        )
+        assert (code, err) == (0, "")
+        evaluated = _fields(out)
+        assert evaluated["value"] == solved["value"]
+        assert evaluated["witness"] == solved["witness"]
+        assert evaluated["solution"] == solved["solution"]
+
+    @pytest.mark.parametrize("problem", ["det", "maxmin", "regret"])
+    @pytest.mark.parametrize("uncertainty", [ONE_SCENARIO, DEGENERATE_RANGES],
+                             ids=["discrete", "ranges"])
+    def test_dependent_solution_names_the_sorted_set(
+        self, capsys, tmp_path, problem, uncertainty
+    ):
+        path = _instance_file(tmp_path, "small", SMALL_INTERVALS, uncertainty)
+        code, out, err = run(
+            capsys, "evaluate", str(path), "--problem", problem, "--solution", "2,1,2",
+        )
+        assert (code, out) == (11, "")
+        assert err == "error: vertex set (1, 2) is not independent\n"
+
+    @pytest.mark.parametrize("uncertainty", [ONE_SCENARIO, DEGENERATE_RANGES],
+                             ids=["discrete", "ranges"])
+    def test_det_and_maxmin_score_the_typed_solution(self, capsys, tmp_path, uncertainty):
+        path = _instance_file(tmp_path, "small", SMALL_INTERVALS, uncertainty)
+        for problem in ("det", "maxmin"):
+            code, out, _ = run(
+                capsys, "evaluate", str(path), "--problem", problem, "--solution", "4,2,4",
+            )
+            fields = _fields(out)
+            assert code == 0
+            assert (fields["value"], fields["solution"], fields["witness"]) == ("5", "4,2,4", "-")
+
+
 class TestColumnFamilies:
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
     def test_no_solver_builds_the_interval_objects(self, path):
@@ -409,6 +493,18 @@ class TestGenerate:
             "--out", str(tmp_path / "t.json"),
         )
         assert code == 11 and "certified" in err
+
+    def test_random_size_limit_is_a_validation_error(self, capsys, tmp_path):
+        target = tmp_path / "big.json"
+        code, out, err = run(
+            capsys, "generate", "--kind", "random", "--n", str(10**12),
+            "--model", "interval", "--out", str(target),
+        )
+        assert code == 11 and out == "" and not target.exists()
+        assert err == (
+            "error: random instance needs more than 1000000 weight cells "
+            "(vertices x scenarios, or 2 x vertices for ranges)\n"
+        )
 
     def test_unwritable_out_is_a_validation_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

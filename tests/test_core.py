@@ -289,6 +289,17 @@ class TestVectorChecks:
             core.check_members(3, members)
         assert str(info.value) == message
 
+    def test_check_weights_refuses_bools(self):
+        # the file format has no booleans, and neither do the solvers
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        with pytest.raises(ValidationError, match="^weights must be integers, got True$"):
+            max_weight_is(fam, [True, 2])
+
+    def test_check_members_refuses_bools(self):
+        fam = IntervalFamily.from_pairs([(0, 1)])
+        with pytest.raises(ValidationError, match=r"^vertex index True out of range 1\.\.1$"):
+            is_independent(fam, [True])
+
     def test_check_members_sorts_and_deduplicates(self):
         assert core.check_members(5, [3, 1, 3, 5]) == (1, 3, 5)
         assert core.check_members(0, []) == ()

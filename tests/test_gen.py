@@ -27,6 +27,7 @@ from rwis import (
 from rwis import gen
 from rwis.gen import (
     PARTITION_TOTAL_LIMIT,
+    RANDOM_CELLS_LIMIT,
     VERTEX_COVER_CELLS_LIMIT,
     VERTEX_COVER_SUBSETS_LIMIT,
 )
@@ -71,6 +72,14 @@ class TestGraphTypes:
     def test_partition_values_positive(self):
         with pytest.raises(ValidationError):
             PartitionInput((1, 0))
+
+    def test_partition_values_refuse_bools(self):
+        with pytest.raises(ValidationError, match="got True$"):
+            PartitionInput((True, 2))
+
+    def test_vertex_count_refuses_bools(self):
+        with pytest.raises(ValidationError, match="^bad vertex count True$"):
+            UndirectedGraph(True, frozenset())
 
 
 class TestDecisionOracles:
@@ -354,3 +363,24 @@ class TestRandomGenerator:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValidationError):
             gen_random(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=10**12, model="interval"),
+            dict(n=10**12, model="discrete", k=3),
+            dict(n=RANDOM_CELLS_LIMIT // 2 + 1, model="interval"),
+            dict(n=RANDOM_CELLS_LIMIT // 4 + 1, model="discrete", k=4),
+        ],
+    )
+    def test_size_limit_refuses_before_drawing(self, kwargs):
+        # refused from the parameters alone: nothing is drawn or built
+        with pytest.raises(ValidationError, match="more than 1000000 weight cells"):
+            gen_random(w_max=5, density=0.5, seed=0, **kwargs)
+
+    def test_size_limit_admits_its_bound(self, monkeypatch):
+        monkeypatch.setattr(gen, "RANDOM_CELLS_LIMIT", 12)
+        assert gen_random(n=6, model="interval", w_max=5, density=0.5, seed=0).family.n == 6
+        assert gen_random(n=4, model="discrete", k=3, w_max=5, density=0.5, seed=0).family.n == 4
+        with pytest.raises(ValidationError, match="more than 12 weight cells"):
+            gen_random(n=7, model="interval", w_max=5, density=0.5, seed=0)

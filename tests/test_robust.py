@@ -120,6 +120,28 @@ class TestEvaluators:
             tracemalloc.stop()
         assert retained < 1 << 20
 
+    def test_interval_preparation_retains_few_families(self):
+        # the preparation cache keeps a handful of families, not hundreds:
+        # each n=5000 family and its preparation hold about 0.7 MiB, so 24
+        # kept families would hold about 17 MiB
+        rng = random.Random(5)
+        weights = tuple(rng.choices(range(10**6 + 1), k=5000))
+        core._prepared.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(24):
+                los = [rng.randrange(10**6) for _ in range(5000)]
+                his = [lo + rng.randrange(1000) for lo in los]
+                core.max_weight_is(IntervalFamily._from_columns(los, his), weights)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            core._prepared.cache_clear()
+        assert retained < 4 << 20
+
     def test_max_min_single_scenario(self):
         scen = DiscreteScenarioSet(((1, 2),))
         assert max_min_value(TWO_FREE, scen, (1,)) == 1
