@@ -179,13 +179,20 @@ def _all_ints(xs: Sequence) -> bool:
 def check_members(n: int, members: Iterable[int]) -> tuple[int, ...]:
     """Validate 1-based vertex indices against a family of size n.
 
-    Returns the indices as a sorted, deduplicated tuple.
+    Returns the indices as a sorted, deduplicated tuple.  Types are checked
+    on the entries as given, so a bool equal to another entry is refused
+    rather than merged with it.
     """
-    out = tuple(sorted(set(members)))
-    if not out or (_all_ints(out) and out[0] >= 1 and out[-1] <= n):
+    raw = tuple(members)
+    if not _all_ints(raw):
+        for i in raw:
+            if not _is_int(i):
+                raise ValidationError(f"vertex index {i!r} out of range 1..{n}")
+    out = tuple(sorted(set(raw)))
+    if not out or (out[0] >= 1 and out[-1] <= n):
         return out
     for i in out:
-        if not _is_int(i) or not 1 <= i <= n:
+        if not 1 <= i <= n:
             raise ValidationError(f"vertex index {i!r} out of range 1..{n}")
     return out
 

@@ -32,6 +32,8 @@ class UndirectedGraph:
         norm = set()
         for e in self.edges:
             u, v = e
+            if not (_is_int(u) and _is_int(v)):
+                raise ValidationError(f"edge {e} outside 1..{self.n_vertices}")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):

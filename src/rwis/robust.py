@@ -12,9 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
 from math import inf
-from operator import add, sub
+from operator import add, and_, lshift, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from . import core
@@ -165,11 +166,38 @@ def _require_same_size(fam: IntervalFamily, n: int) -> None:
 # length of level pos-1 means "skip interval pos" and keeps that vector; any
 # other j means "take interval pos" on top of vector j - len(level pos-1) of
 # level p(pos).
+#
+# A vector (x_1, ..., x_K) is stored as one int: K fields of `bits` bits,
+# x_1 in the highest, each field's top bit a guard bit that a stored vector
+# keeps clear (see _frontier_levels).
 
 
-def _pareto_max(vecs, merged, k: int):
-    """Pareto-maximal subset, under component-wise >=, of vecs visited in the
-    descending lexicographic order of their indices given by `merged`.
+def _field_bits(columns: Sequence[Sequence[int]], sat: int | None) -> int:
+    """Field width that holds every coordinate the DP can form below the
+    guard bit: the largest column sum, or sat plus the largest weight, since
+    a coordinate at sat may take any weight before it saturates."""
+    if sat is None:
+        top = max(map(sum, columns), default=0)
+    else:
+        top = sat + max((max(col, default=0) for col in columns), default=0)
+    return top.bit_length() + 1
+
+
+def _guards(k: int, bits: int) -> int:
+    """The packed vector with only the guard bit of each of its k fields set."""
+    return ((1 << (bits * k)) - 1) // ((1 << bits) - 1) << (bits - 1)
+
+
+def _unpack(v: int, k: int, bits: int) -> tuple[int, ...]:
+    """The K-tuple stored in the packed vector v."""
+    mask = (1 << bits) - 1
+    return tuple((v >> (bits * i)) & mask for i in range(k - 1, -1, -1))
+
+
+def _pareto_max(vecs: list[int], merged: list[int], k: int, bits: int):
+    """Pareto-maximal subset, under component-wise >=, of the packed vecs
+    visited in the descending lexicographic order of their indices given by
+    `merged`.
 
     In that order a vector can only be dominated by an earlier one, so one
     pass suffices; of equal vectors the first is kept.  Returns the kept
@@ -177,14 +205,15 @@ def _pareto_max(vecs, merged, k: int):
     """
     if k == 1:
         return [vecs[merged[0]]], merged[:1]
-    kept: list[tuple[int, ...]] = []
+    mask = (1 << bits) - 1
+    kept: list[int] = []
     kept_idx: list[int] = []
     if k == 2:
         best_second = -1
         for j in merged:
             v = vecs[j]
-            if v[1] > best_second:
-                best_second = v[1]
+            if v & mask > best_second:
+                best_second = v & mask
                 kept.append(v)
                 kept_idx.append(j)
     elif k == 3:
@@ -194,7 +223,8 @@ def _pareto_max(vecs, merged, k: int):
         zs = [-1]
         for j in merged:
             v = vecs[j]
-            _, y, z = v
+            y = (v >> bits) & mask
+            z = v & mask
             i = bisect_left(ys, y)
             if zs[i] >= z:
                 continue
@@ -207,9 +237,15 @@ def _pareto_max(vecs, merged, k: int):
             kept.append(v)
             kept_idx.append(j)
     else:
+        # u >= v in every field exactly when (u | H) - v keeps every guard
+        # bit of H: each field then holds 2^(bits-1) + u_i - v_i >= 0, so no
+        # borrow leaves it; the kept vectors are stored with H already set
+        guards = _guards(k, bits)
+        kept_h: list[int] = []
         for j in merged:
             v = vecs[j]
-            if not any(all(x <= y for x, y in zip(v, u)) for u in kept):
+            if guards not in map(and_, map(sub, kept_h, repeat(v)), repeat(guards)):
+                kept_h.append(v | guards)
                 kept.append(v)
                 kept_idx.append(j)
     return kept, kept_idx
@@ -227,6 +263,28 @@ def _frontier_levels(
     pair (vectors, provenances) described above.  With `sat` set, additions
     saturate at that value per coordinate, and once a level is the lone
     vector (sat, ..., sat) the remaining levels repeat it as a skip.
+    Returns (levels, order, preds, bits); _unpack(v, K, bits) decodes a
+    vector.
+
+    Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
+    k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
+    below 2^(bits-1): without sat it is a sum of weights of one column, at
+    most the column sum; with sat it is x_k + w_k with x_k <= sat, at most
+    sat plus the largest weight, and saturation only lowers it.  So the top
+    (guard) bit of every field is clear in every stored vector, and:
+    - int order is lexicographic order: the fields do not overlap and x_1
+      sits highest, so the highest differing field, the first differing
+      coordinate, decides;
+    - adding the packed weight vector adds every coordinate at once: each
+      field's sum is a coordinate the DP forms, below 2^(bits-1), so no
+      carry crosses into the next field;
+    - adding `over`, 2^(bits-1) - 1 - sat in every field, sets a field's
+      guard bit exactly when its coordinate exceeds sat, and a field then
+      holds less than 2^bits, so again nothing crosses.  One OR over the
+      shifted level finds whether any field needs saturating, and a masked
+      fix-up writes sat into just those fields.
+    The levels, their order, the provenances and every tie-break are thus
+    those of the same DP run on tuples of ints.
 
     Both candidate lists are descending, so the stable sort of their
     concatenation is a linear-time merge of two runs that puts a skip before
@@ -236,34 +294,43 @@ def _frontier_levels(
     """
     order, preds = core._prepared(fam)
     k = len(columns)
-    levels = [([(0,) * k], [0])]
-    full = None if sat is None else [(sat,) * k]
+    bits = _field_bits(columns, sat)
+    packed = [0] * len(fam)
+    for col in columns:
+        packed = list(map(add, map(lshift, packed, repeat(bits)), col))
+    levels = [([0], [0])]
+    full = None
+    if sat is not None:
+        top = bits - 1
+        mask = (1 << bits) - 1
+        guards = _guards(k, bits)
+        ones = guards >> top
+        fill = sat * ones
+        full = [fill]
+        over = ((1 << top) - 1 - sat) * ones
     for pos in range(1, len(fam) + 1):
         if levels[-1][0] == full:
             # (sat, ..., sat) dominates every later candidate and the stable
             # sort puts the equal skip first: every later level is that skip
             levels.extend([(full, [0])] * (len(fam) + 1 - pos))
             break
-        orig = order[pos - 1]
-        wvec = tuple(col[orig] for col in columns)
-        # shift level p(pos) column by column: tuples are built in C by zip
-        cols = zip(*levels[preds[pos - 1]][0])
-        if sat is None:
-            shifted = [[x + w for x in col] for col, w in zip(cols, wvec)]
-        else:
+        shifted = list(map(add, levels[preds[pos - 1]][0], repeat(packed[order[pos - 1]])))
+        if sat is not None and reduce(or_, map(add, shifted, repeat(over))) & guards:
+            # m = (((x + over) & guards) >> top) * mask covers the fields of x
+            # above sat, and x ^ ((x ^ fill) & m) writes sat into them
             shifted = [
-                [x + w if x + w < sat else sat for x in col]
-                for col, w in zip(cols, wvec)
+                x ^ ((x ^ fill) & (((x + over) & guards) >> top) * mask)
+                for x in shifted
             ]
-        cand = levels[pos - 1][0] + list(zip(*shifted))
+        cand = levels[pos - 1][0] + shifted
         merged = sorted(range(len(cand)), key=cand.__getitem__, reverse=True)
-        vecs, provs = _pareto_max(cand, merged, k)
+        vecs, provs = _pareto_max(cand, merged, k, bits)
         if len(vecs) > cap:
             raise FrontierCapError(
                 f"frontier size {len(vecs)} exceeds cap {cap} at interval {pos}"
             )
         levels.append((vecs, provs))
-    return levels, order, preds
+    return levels, order, preds, bits
 
 
 def _frontier_best(
@@ -278,8 +345,9 @@ def _frontier_best(
     Ties on the score go to the lexicographically smallest vector, and equal
     vectors prefer skipping later intervals.  Returns (members, vector).
     """
-    levels, order, preds = _frontier_levels(fam, columns, cap, sat)
-    final = levels[-1][0]
+    levels, order, preds, bits = _frontier_levels(fam, columns, cap, sat)
+    k = len(columns)
+    final = [_unpack(v, k, bits) for v in levels[-1][0]]
     vec = min(reversed(final), key=score)  # ascending: ties go to the smallest
     j = final.index(vec)
     pos = len(levels) - 1
@@ -316,8 +384,10 @@ def pareto_frontier(
     estimated a priori.
     """
     _require_same_size(fam, scen.n)
-    levels, _, _ = _frontier_levels(fam, scen.scenarios, resolve_frontier_cap(cap))
-    return ParetoFrontier(k=scen.k, vectors=frozenset(levels[-1][0]))
+    levels, _, _, bits = _frontier_levels(fam, scen.scenarios, resolve_frontier_cap(cap))
+    return ParetoFrontier(
+        k=scen.k, vectors=frozenset(_unpack(v, scen.k, bits) for v in levels[-1][0])
+    )
 
 
 def solve_max_min_exact(
@@ -550,7 +620,9 @@ def fptas_max_min(
     while True:
         t = e * trial / (n * (1 + e))
         num, den = t.numerator, t.denominator
-        scaled = [[min(w * den // num, sat) for w in s] for s in scen.scenarios]
+        # w * den // num reaches sat exactly when w reaches cut
+        cut = -(-sat * num // den)
+        scaled = [[w * den // num if w < cut else sat for w in s] for s in scen.scenarios]
         if scaled != previous:
             members, _ = _frontier_best(fam, scaled, cap_val, _neg_min, sat=sat)
             value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)

@@ -300,6 +300,15 @@ class TestVectorChecks:
         with pytest.raises(ValidationError, match=r"^vertex index True out of range 1\.\.1$"):
             is_independent(fam, [True])
 
+    @pytest.mark.parametrize("members", [[1, True], [True, 1], [2, 1, True], [1, 1.0]])
+    def test_check_members_refuses_a_non_int_equal_to_another_entry(self, members):
+        # deduplicating first would merge True (or 1.0) into 1 and accept it
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        bad = next(i for i in members if type(i) is not int)
+        with pytest.raises(ValidationError) as info:
+            is_independent(fam, members)
+        assert str(info.value) == f"vertex index {bad!r} out of range 1..2"
+
     def test_check_members_sorts_and_deduplicates(self):
         assert core.check_members(5, [3, 1, 3, 5]) == (1, 3, 5)
         assert core.check_members(0, []) == ()

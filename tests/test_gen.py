@@ -65,6 +65,12 @@ class TestGraphTypes:
         with pytest.raises(ValidationError):
             UndirectedGraph.from_edges(2, [(1, 3)])
 
+    @pytest.mark.parametrize("edge", [(True, 2), (1, False), (1.0, 2), (1, "2")])
+    def test_rejects_non_int_endpoints(self, edge):
+        with pytest.raises(ValidationError) as info:
+            UndirectedGraph.from_edges(2, [edge])
+        assert str(info.value) == f"edge {edge} outside 1..2"
+
     def test_edges_normalized(self):
         g = UndirectedGraph.from_edges(3, [(2, 1), (1, 2), (3, 1)])
         assert g.sorted_edges() == [(1, 2), (1, 3)]

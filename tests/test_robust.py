@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwis import (
     DiscreteScenarioSet,
@@ -737,6 +739,14 @@ class TestFptas:
         assert value >= 1
 
 
+def decoded_frontier_levels(fam, columns, cap, sat=None):
+    """robust._frontier_levels with every packed vector decoded to its tuple."""
+    levels, order, preds, bits = robust._frontier_levels(fam, columns, cap, sat=sat)
+    k = len(columns)
+    decoded = [([robust._unpack(v, k, bits) for v in vecs], provs) for vecs, provs in levels]
+    return decoded, order, preds
+
+
 def levels_as_reference(levels, preds):
     """The engine's (vectors, provenances) levels in the reference DP's form:
     one dict per level, vector -> None (skip) or parent vector (take)."""
@@ -779,7 +789,7 @@ class TestFrontierEngine:
                 front = pareto_frontier(fam, scen)
                 assert set(front.vectors) == oracles.pareto_max_of_sets(fam, scen.scenarios)
                 sat = rng.randint(1, 12)
-                levels, _, _ = robust._frontier_levels(fam, scen.scenarios, 10**6, sat=sat)
+                levels, _, _ = decoded_frontier_levels(fam, scen.scenarios, 10**6, sat=sat)
                 assert set(levels[-1][0]) == oracles.pareto_max_of_sets(
                     fam, scen.scenarios, sat
                 )
@@ -793,7 +803,7 @@ class TestFrontierEngine:
                     tuple(rng.randint(0, 5) for _ in range(scen.n)) for _ in range(k)
                 )
                 for sat in (None, rng.randint(1, 10)):
-                    levels, _, preds = robust._frontier_levels(fam, columns, 10**6, sat=sat)
+                    levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
                     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
                     got = levels_as_reference(levels, preds)
                     assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
@@ -873,7 +883,7 @@ class TestFrontierEngine:
                 tuple(rng.choice((0, 1, sat - 1, sat, sat + 2)) for _ in range(scen.n))
                 for _ in range(k)
             )
-            levels, _, preds = robust._frontier_levels(fam, columns, 10**6, sat=sat)
+            levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
             ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
             got = levels_as_reference(levels, preds)
             assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
@@ -927,3 +937,116 @@ class TestFrontierEngine:
                 solve(fam, scen, cap=cap)
             assert str(got.value) == str(ref.value)
         assert len(pareto_frontier(fam, scen, cap=peak).vectors) <= peak
+
+
+def pack(vec, bits):
+    """The engine's packing of a vector: first coordinate in the highest field."""
+    out = 0
+    for x in vec:
+        out = (out << bits) | x
+    return out
+
+
+def assert_levels_match_reference(fam, columns, sat=None):
+    levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
+    ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
+    got = levels_as_reference(levels, preds)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+
+
+class TestPackedVectors:
+    """Differential cases for the packed-int frontier engine against the
+    tuple-based reference DP in oracles."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_levels_match_reference_for_each_k(self, k):
+        rng = random.Random(4800 + k)
+        for _ in range(8):
+            fam, scen = random_discrete(rng, max_n=9, max_k=1, w_max=1)
+            columns = tuple(
+                tuple(rng.randint(0, 4) for _ in range(scen.n)) for _ in range(k)
+            )
+            for sat in (None, rng.randint(1, 6)):
+                assert_levels_match_reference(fam, columns, sat)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_empty_family(self, k):
+        fam = IntervalFamily.from_pairs([])
+        columns = ((),) * k
+        for sat in (None, 3):
+            levels, _, _ = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
+            assert levels == [([(0,) * k], [0])]
+        scen = DiscreteScenarioSet(columns)
+        assert pareto_frontier(fam, scen).vectors == frozenset({(0,) * k})
+        assert solve_max_min_exact(fam, scen) == ((), 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_all_zero_columns(self, k):
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3), (1, 2), (5, 6)])
+        columns = ((0, 0, 0, 0),) * k
+        for sat in (None, 1, 4):
+            assert_levels_match_reference(fam, columns, sat)
+        assert robust._frontier_levels(fam, columns, 10**6)[3] == 1
+        scen = DiscreteScenarioSet(columns)
+        assert solve_max_min_exact(fam, scen) == oracles.ref_max_min_exact(fam, scen)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_weights_above_sat(self, k):
+        # a coordinate at sat can still take a weight above sat before it
+        # saturates: the fields must hold sat plus the largest weight
+        rng = random.Random(4900 + k)
+        for _ in range(10):
+            fam, scen = random_discrete(rng, max_n=10, max_k=1, w_max=1)
+            sat = rng.randint(1, 5)
+            columns = tuple(
+                tuple(rng.choice((0, sat, sat + 1, 3 * sat + 7)) for _ in range(scen.n))
+                for _ in range(k)
+            )
+            assert_levels_match_reference(fam, columns, sat)
+
+    @pytest.mark.parametrize("base", [2**30, 2**60, 10**100])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_multi_digit_weights(self, base, k):
+        # packed vectors of this size span several CPython int digits
+        rng = random.Random(base % 1000 + k)
+        for _ in range(5):
+            fam, scen = random_discrete(rng, max_n=9, max_k=1, w_max=1)
+            columns = tuple(
+                tuple(base + rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(scen.n))
+                for _ in range(k)
+            )
+            for sat in (None, base + rng.randint(-2, 2), 2 * base):
+                assert_levels_match_reference(fam, columns, sat)
+            scen = DiscreteScenarioSet(columns)
+            assert set(pareto_frontier(fam, scen).vectors) == oracles.pareto_max_of_sets(fam, columns)
+            assert solve_max_min_exact(fam, scen) == oracles.ref_max_min_exact(fam, scen)
+            report = solve_regret_discrete_exact(fam, scen)
+            assert (
+                report.solution, report.regret_value, report.witness_scenario
+            ) == oracles.ref_regret_discrete_exact(fam, scen)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, 40), min_size=k, max_size=k),
+                st.lists(st.integers(0, 40), min_size=k, max_size=k),
+                st.booleans(),
+                st.integers(0, 70),
+            )
+        )
+    )
+    def test_dominance_test_agrees_with_componentwise_order(self, case):
+        a, b, equal, slack = case
+        if equal:
+            b = list(a)
+        k = len(a)
+        bits = max(a + b).bit_length() + 1 + slack
+        first, second = sorted([tuple(a), tuple(b)], reverse=True)
+        vecs = [pack(first, bits), pack(second, bits)]
+        assert [robust._unpack(v, k, bits) for v in vecs] == [first, second]
+        # the later vector is dropped exactly when the earlier one dominates it
+        kept, kept_idx = robust._pareto_max(vecs, [0, 1], k, bits)
+        dominated = all(x <= y for x, y in zip(second, first))
+        assert kept_idx == ([0] if dominated else [0, 1])
+        assert kept == vecs[: len(kept_idx)]
