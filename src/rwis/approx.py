@@ -11,23 +11,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from operator import add, attrgetter
+from operator import attrgetter
 
-from . import core, robust
+from . import core, robust, scenarios
 from .core import IntervalFamily
 from .errors import ValidationError
 from .scenarios import DiscreteScenarioSet, IntervalUncertainty, Uncertainty
 
 TIE_CANONICAL = "canonical"
 TIE_ADVERSARIAL = "adversarial"
-
-
-def _surrogate_discrete(scen: DiscreteScenarioSet) -> tuple[int, ...]:
-    return tuple(sum(col) for col in zip(*scen.scenarios))
-
-
-def _surrogate_interval(u: IntervalUncertainty) -> tuple[int, ...]:
-    return tuple(map(add, u.lower, u.upper))
 
 
 def _surrogate_optima(
@@ -56,7 +48,7 @@ def k_approx_regret(
     O(Kn + n log n).  `ties="adversarial"` explores every surrogate optimum
     and returns the worst one (guarded enumeration; used to certify tightness).
     """
-    optima = _surrogate_optima(fam, _surrogate_discrete(scen), ties, guard)
+    optima = _surrogate_optima(fam, scenarios._surrogate_discrete(scen), ties, guard)
     consts = robust._optima(fam, scen)  # after the surrogate solve has checked sizes
     reports = (robust._regret_report(scen, consts, m) for m in optima)
     return max(reports, key=attrgetter("regret_value"))  # the first worst wins
@@ -74,7 +66,7 @@ def midpoint_approx_regret(
     lower + upper, then reports that solution's exact maximal regret, which
     is at most twice the optimum.
     """
-    optima = _surrogate_optima(fam, _surrogate_interval(u), ties, guard)
+    optima = _surrogate_optima(fam, scenarios._surrogate_interval(u), ties, guard)
     reports = (robust.max_regret_interval(fam, u, m) for m in optima)
     return max(reports, key=attrgetter("regret_value"))  # the first worst wins
 

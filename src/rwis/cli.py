@@ -36,6 +36,15 @@ EXIT_VALIDATION = 11
 EXIT_GUARD = 12
 EXIT_UNSUPPORTED = 13
 
+# error class -> exit code, most specific first: FrontierCapError is a
+# GuardError, and every class is an RwisError
+EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (UnsupportedCombinationError, EXIT_UNSUPPORTED),
+    (GuardError, EXIT_GUARD),
+    (RwisError, EXIT_VALIDATION),
+)
+
 
 def _deterministic_vector(instance: Instance) -> tuple[int, ...]:
     u = instance.uncertainty
@@ -164,16 +173,9 @@ def dispatch_solve(
 # Rendering
 
 
-def _fmt_members(members: tuple[int, ...] | None) -> str:
-    if members is None or not members:
-        return "-"
-    return ",".join(map(str, members))
-
-
-def _fmt_vector(vec: tuple[int, ...] | None) -> str:
-    if vec is None:
-        return "-"
-    return ",".join(map(str, vec))
+def _fmt_list(items: tuple[int, ...] | None) -> str:
+    """Comma-separated entries; `-` for None or an empty list."""
+    return ",".join(map(str, items)) if items else "-"
 
 
 def _fmt_value(value: int) -> str:
@@ -223,8 +225,8 @@ def _write_result(
         ("problem", args.problem),
         ("algorithm", algorithm),
         ("value", _fmt_value(value)),
-        ("solution", _fmt_members(solution)),
-        ("witness", _fmt_vector(witness)),
+        ("solution", _fmt_list(solution)),
+        ("witness", _fmt_list(witness)),
         ("epsilon", "-" if epsilon is None else repr(float(epsilon))),
         ("scaling_factor", str(instance.scaling_factor)),
     ]
@@ -308,41 +310,44 @@ def _parse_edges_arg(text: str) -> list[tuple[int, int]]:
     return edges
 
 
+def _gen_vertex_cover(args: argparse.Namespace) -> Instance:
+    graph = gen.UndirectedGraph.from_edges(args.n_vertices, _parse_edges_arg(args.edges))
+    return gen.gen_vertex_cover(graph, args.cover_size)
+
+
+def _gen_partition(args: argparse.Namespace) -> Instance:
+    try:
+        values = tuple(int(v) for v in args.values.split(","))
+    except ValueError:
+        raise ValidationError(f"bad values list {args.values!r}") from None
+    return gen.gen_partition(gen.PartitionInput(values))
+
+
+# --kind -> (the flags that kind needs, its builder called with the parsed
+# arguments), in the order --kind lists its choices
+GENERATORS = {
+    "vertex-cover": (("--n-vertices", "--edges", "--cover-size"), _gen_vertex_cover),
+    "partition": (("--values",), _gen_partition),
+    "tight-k": (("--k",), lambda args: gen.gen_tight_k(args.k)),
+    "tight-midpoint": ((), lambda args: gen.gen_tight_midpoint()),
+    "random": (("--n", "--model"), lambda args: gen.gen_random(
+        n=args.n,
+        model=args.model,
+        w_max=args.w_max,
+        density=args.density,
+        seed=args.seed,
+        k=args.k if args.model == "discrete" else None,
+    )),
+}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "vertex-cover":
-        if args.n_vertices is None or args.edges is None or args.cover_size is None:
-            raise ValidationError(
-                "vertex-cover needs --n-vertices, --edges and --cover-size"
-            )
-        graph = gen.UndirectedGraph.from_edges(args.n_vertices, _parse_edges_arg(args.edges))
-        instance = gen.gen_vertex_cover(graph, args.cover_size)
-    elif args.kind == "partition":
-        if args.values is None:
-            raise ValidationError("partition needs --values")
-        try:
-            values = tuple(int(v) for v in args.values.split(","))
-        except ValueError:
-            raise ValidationError(f"bad values list {args.values!r}") from None
-        instance = gen.gen_partition(gen.PartitionInput(values))
-    elif args.kind == "tight-k":
-        if args.k is None:
-            raise ValidationError("tight-k needs --k")
-        instance = gen.gen_tight_k(args.k)
-    elif args.kind == "tight-midpoint":
-        instance = gen.gen_tight_midpoint()
-    elif args.kind == "random":
-        if args.n is None or args.model is None:
-            raise ValidationError("random needs --n and --model")
-        instance = gen.gen_random(
-            n=args.n,
-            model=args.model,
-            w_max=args.w_max,
-            density=args.density,
-            seed=args.seed,
-            k=args.k if args.model == "discrete" else None,
-        )
-    else:
-        raise ValidationError(f"unknown kind {args.kind!r}")
+    flags, build = GENERATORS[args.kind]
+    if any(getattr(args, flag[2:].replace("-", "_")) is None for flag in flags):
+        *first, last = flags
+        listed = f"{', '.join(first)} and {last}" if first else last
+        raise ValidationError(f"{args.kind} needs {listed}")
+    instance = build(args)
     with _writing(args.out):
         write_instance(instance, args.out)
     sys.stdout.write(f"{args.out}\n")
@@ -565,8 +570,7 @@ COMMANDS = {
         *_COMMON_FLAGS,
     ), cmd_evaluate),
     "generate": Command("write an instance file", (
-        _arg("--kind", required=True,
-             choices=("vertex-cover", "partition", "tight-k", "tight-midpoint", "random")),
+        _arg("--kind", required=True, choices=tuple(GENERATORS)),
         _arg("--out", required=True),
         _arg("--n-vertices", type=int, default=None, help="vertex-cover: graph size"),
         _arg("--edges", default=None, help="vertex-cover: e.g. '1-2,2-3,1-3'"),
@@ -651,18 +655,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except RwisError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedCombinationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ValidationError, RwisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from math import inf
 from operator import add, and_, lshift, or_, sub
 from typing import Callable, Iterable, Sequence
 
-from . import core
+from . import core, scenarios
 from .core import IntervalFamily, check_members
 from .errors import FrontierCapError, ValidationError
 from .scenarios import DiscreteScenarioSet, IntervalUncertainty, worst_case_scenario
@@ -203,12 +203,12 @@ def _pareto_max(vecs: list[int], merged: list[int], k: int, bits: int):
     pass suffices; of equal vectors the first is kept.  Returns the kept
     vectors and their indices, both in that order.
     """
-    if k == 1:
-        return [vecs[merged[0]]], merged[:1]
     mask = (1 << bits) - 1
     kept: list[int] = []
     kept_idx: list[int] = []
-    if k == 2:
+    if k <= 2:
+        # staircase over the last field; at K=1 that field is the whole
+        # vector, so only the first (largest) vector passes
         best_second = -1
         for j in merged:
             v = vecs[j]
@@ -261,10 +261,11 @@ def _frontier_levels(
 
     columns[k][i] is vertex i+1's weight under scenario k+1.  Level i is the
     pair (vectors, provenances) described above.  With `sat` set, additions
-    saturate at that value per coordinate, and once a level is the lone
-    vector (sat, ..., sat) the remaining levels repeat it as a skip.
-    Returns (levels, order, preds, bits); _unpack(v, K, bits) decodes a
-    vector.
+    saturate at that value per coordinate, and the DP stops at the first
+    level that is the lone vector (sat, ..., sat): every later level would
+    repeat it as a skip, so the last level returned is the final one and
+    backtracking starts there.  Returns (levels, order, preds, bits);
+    _unpack(v, K, bits) decodes a vector.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -311,8 +312,8 @@ def _frontier_levels(
     for pos in range(1, len(fam) + 1):
         if levels[-1][0] == full:
             # (sat, ..., sat) dominates every later candidate and the stable
-            # sort puts the equal skip first: every later level is that skip
-            levels.extend([(full, [0])] * (len(fam) + 1 - pos))
+            # sort puts the equal skip first: every later level would be that
+            # skip, so this level is the final one
             break
         shifted = list(map(add, levels[preds[pos - 1]][0], repeat(packed[order[pos - 1]])))
         if sat is not None and reduce(or_, map(add, shifted, repeat(over))) & guards:
@@ -508,7 +509,7 @@ def _regret_interval_walk(
     """
     n = len(fam)
     seed = max_regret_interval(
-        fam, u, core.max_weight_is(fam, list(map(add, u.lower, u.upper)))[0]
+        fam, u, core.max_weight_is(fam, scenarios._surrogate_interval(u))[0]
     )
     best_regret, best_members = seed.regret_value, seed.solution
     order, preds = core._prepared(fam)
@@ -652,14 +653,12 @@ def fptas_regret_discrete(
     exact regret is reported.  The approximation, the scaled constants and
     the final evaluation share one computation of the scenario optima.
     """
-    from .approx import _surrogate_discrete  # local import to avoid a cycle
-
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
     n = len(fam)
     consts = _optima(fam, scen)
     base = _regret_report(
-        scen, consts, core.max_weight_is(fam, _surrogate_discrete(scen))[0]
+        scen, consts, core.max_weight_is(fam, scenarios._surrogate_discrete(scen))[0]
     )
     if base.regret_value == 0 or n == 0:
         return base

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import le
+from operator import add, le
 from typing import Iterable, Iterator
 
 from .core import IntervalFamily, _all_ints, _is_int, check_members, resolve_guard
@@ -123,6 +123,16 @@ class Instance:
     @property
     def is_discrete(self) -> bool:
         return isinstance(self.uncertainty, DiscreteScenarioSet)
+
+
+def _surrogate_discrete(scen: DiscreteScenarioSet) -> tuple[int, ...]:
+    """Each vertex's weights summed over the K scenarios."""
+    return tuple(sum(col) for col in zip(*scen.scenarios))
+
+
+def _surrogate_interval(u: IntervalUncertainty) -> tuple[int, ...]:
+    """Each vertex's lower + upper bound: twice its midpoint, in integers."""
+    return tuple(map(add, u.lower, u.upper))
 
 
 def worst_case_scenario(

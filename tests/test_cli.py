@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import golden_defs
-from rwis import DiscreteScenarioSet, RwisError, cli, gen, parse_instance, robust
+from rwis import DiscreteScenarioSet, RwisError, cli, errors, gen, parse_instance, robust
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
@@ -387,6 +388,83 @@ class TestExitCodes:
         assert (out != "") == (code == 0)
 
 
+class TestExitCodeTable:
+    def test_frontier_cap_from_environment_is_a_guard_error(self, capsys, monkeypatch):
+        # FrontierCapError is a GuardError, so it takes the guard row
+        monkeypatch.setenv("RWIS_FRONTIER_CAP", "1")
+        code, out, err = run(
+            capsys, "solve", str(GOLDEN / "random_n10_k2_w5_seed42.json"),
+            "--problem", "maxmin", "--algorithm", "exact",
+        )
+        assert (code, out) == (12, "")
+        assert err == "error: frontier size 2 exceeds cap 1 at interval 8\n"
+
+    @pytest.mark.parametrize("cls, code", [
+        (errors.ParseError, 10),
+        (errors.ValidationError, 11),
+        (errors.GuardError, 12),
+        (errors.FrontierCapError, 12),
+        (errors.UnsupportedCombinationError, 13),
+        (errors.RwisError, 11),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_every_error_class_has_its_exit_code(self, capsys, monkeypatch, cls, code):
+        def fail(path):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "parse_instance", fail)
+        argv = ("solve", TIGHT_K2, "--problem", "det", "--algorithm", "exact")
+        assert run(capsys, *argv) == (code, "", "error: boom\n")
+
+
+class TestTimings:
+    @pytest.mark.parametrize("layout", ["table", "delimited"])
+    def test_wall_ms_is_the_last_field(self, capsys, layout):
+        argv = (
+            "solve", str(GOLDEN / "tight_k2.json"), "--problem", "maxmin",
+            "--algorithm", "exact", "--format", layout,
+        )
+        code, plain, _ = run(capsys, *argv)
+        timed_code, timed, err = run(capsys, *argv, "--timings")
+        assert code == timed_code == 0 and err == ""
+        if layout == "table":
+            *rest, last = timed.splitlines(keepends=True)
+            assert "".join(rest) == plain
+            assert re.fullmatch(r"wall_ms {9}\d+\.\d{3}\n", last)
+        else:
+            header, row = timed.splitlines()
+            plain_header, plain_row = plain.splitlines()
+            assert header == plain_header + "\twall_ms"
+            assert row.rsplit("\t", 1)[0] == plain_row
+            assert re.fullmatch(r"\d+\.\d{3}", row.rsplit("\t", 1)[1])
+
+
+EMPTY_DISCRETE = {"type": "discrete", "scenarios": [[]]}
+EMPTY_RANGES = {"type": "interval", "lower": [], "upper": []}
+
+
+class TestEmptyWitness:
+    """An empty witness scenario (n = 0) prints `-`, as the empty solution does."""
+
+    @pytest.mark.parametrize("uncertainty", [EMPTY_DISCRETE, EMPTY_RANGES],
+                             ids=["discrete", "ranges"])
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--problem", "regret", "--algorithm", "exact"),
+        ("solve", "--problem", "regret", "--algorithm", "bruteforce"),
+        ("evaluate", "--problem", "regret", "--solution", "-"),
+    ], ids=["exact", "bruteforce", "evaluate"])
+    def test_dash_in_both_layouts(self, capsys, tmp_path, uncertainty, argv):
+        path = _instance_file(tmp_path, "empty", [], uncertainty)
+        command, *rest = argv
+        code, out, err = run(capsys, command, str(path), *rest)
+        assert (code, err) == (0, "")
+        assert "witness         -\n" in out
+        assert "solution        -\n" in out
+        code, out, _ = run(capsys, command, str(path), *rest, "--format", "delimited")
+        header, row = out.splitlines()
+        fields = dict(zip(header.split("\t"), row.split("\t")))
+        assert code == 0 and fields["witness"] == "-" and fields["solution"] == "-"
+
+
 class TestEpsilon:
     def spy(self, monkeypatch, name):
         seen = []
@@ -562,6 +640,88 @@ class TestGenerate:
         )
         assert code == 11 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: vertex-cover gadget needs 1 x {big} x {big} ")
+
+
+VERTEX_COVER_FLAGS = {"--n-vertices": "3", "--edges": "1-2", "--cover-size": "1"}
+
+# (id, arguments after --kind and --out, the one error line)
+GENERATE_REFUSALS = [
+    *(
+        (
+            "vertex-cover-without-" + "-".join(flag[2:] for flag in missing),
+            ["vertex-cover", *(
+                part for flag, value in VERTEX_COVER_FLAGS.items()
+                if flag not in missing for part in (flag, value)
+            )],
+            "vertex-cover needs --n-vertices, --edges and --cover-size",
+        )
+        for size in (1, 2, 3)
+        for missing in itertools.combinations(VERTEX_COVER_FLAGS, size)
+    ),
+    ("partition-without-values", ["partition"], "partition needs --values"),
+    ("partition-bad-values", ["partition", "--values", "1,x"], "bad values list '1,x'"),
+    ("tight-k-without-k", ["tight-k"], "tight-k needs --k"),
+    ("random-without-n", ["random", "--model", "interval"], "random needs --n and --model"),
+    ("random-without-model", ["random", "--n", "4"], "random needs --n and --model"),
+    ("random-without-n-and-model", ["random"], "random needs --n and --model"),
+    ("vertex-cover-bad-edge", ["vertex-cover", "--n-vertices", "3", "--edges", "x",
+                               "--cover-size", "1"],
+     "bad edge 'x'; expected 'u-v' pairs like '1-2,2-3'"),
+]
+
+GENERATE_HELP = """\
+usage: rwis generate [-h] --kind
+                     {vertex-cover,partition,tight-k,tight-midpoint,random}
+                     --out OUT [--n-vertices N_VERTICES] [--edges EDGES]
+                     [--cover-size COVER_SIZE] [--values VALUES] [--k K]
+                     [--n N] [--model {discrete,interval}] [--w-max W_MAX]
+                     [--density DENSITY] [--seed SEED]
+                     [--format {table,delimited}] [--guard-n GUARD_N]
+                     [--timings]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {vertex-cover,partition,tight-k,tight-midpoint,random}
+  --out OUT
+  --n-vertices N_VERTICES
+                        vertex-cover: graph size
+  --edges EDGES         vertex-cover: e.g. '1-2,2-3,1-3'
+  --cover-size COVER_SIZE
+                        vertex-cover: budget
+  --values VALUES       partition: e.g. '2,2,1,3'
+  --k K                 tight-k ratio / random scenario count
+  --n N                 random: vertex count
+  --model {discrete,interval}
+  --w-max W_MAX
+  --density DENSITY
+  --seed SEED
+  --format {table,delimited}
+                        output layout (default: table)
+  --guard-n GUARD_N     enumeration guard override (also via RWIS_GUARD_N)
+  --timings             include wall-clock columns (breaks byte-for-byte
+                        reproducibility)
+"""
+
+
+class TestGenerateRefusals:
+    """Every refusal of `rwis generate` before a generator runs: exit 11,
+    nothing on stdout, one error line, no file written."""
+
+    @pytest.mark.parametrize(
+        "kind_args, line",
+        [row[1:] for row in GENERATE_REFUSALS],
+        ids=[row[0] for row in GENERATE_REFUSALS],
+    )
+    def test_refusal_line(self, capsys, tmp_path, kind_args, line):
+        target = tmp_path / "g.json"
+        kind, *rest = kind_args
+        code, out, err = run(capsys, "generate", "--kind", kind, "--out", str(target), *rest)
+        assert (code, out, err) == (11, "", f"error: {line}\n")
+        assert not target.exists()
+
+    def test_help_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert ran(capsys, ["generate", "--help"]) == (0, GENERATE_HELP, "")
 
 
 BENCH_REGRET_GOLDEN = """\

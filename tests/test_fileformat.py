@@ -287,6 +287,40 @@ class TestMalformedDocuments:
         assert ranges.uncertainty.upper == (3, 1)
 
 
+# (uncertainty field, exact message): the shape checks on the uncertainty
+# object itself, before any weight is read
+BAD_UNCERTAINTY = {
+    "not-an-object": ([[1, 2]], "uncertainty must be an object with a 'type' field"),
+    "no-type": ({"scenarios": [[1, 2]]}, "uncertainty must be an object with a 'type' field"),
+    "discrete-extra-fields": (
+        {"type": "discrete", "scenarios": [[1, 2]], "lower": [1, 1], "b": 1},
+        "unknown uncertainty fields: ['b', 'lower']",
+    ),
+    "interval-extra-fields": (
+        {"type": "interval", "lower": [1, 1], "upper": [2, 2], "scenarios": []},
+        "unknown uncertainty fields: ['scenarios']",
+    ),
+    "interval-without-upper": (
+        {"type": "interval", "lower": [1, 1]},
+        "interval uncertainty needs 'lower' and 'upper' lists",
+    ),
+    "interval-without-lower": (
+        {"type": "interval", "upper": [1, 1]},
+        "interval uncertainty needs 'lower' and 'upper' lists",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_UNCERTAINTY))
+def test_uncertainty_shape_errors(case):
+    unc, message = BAD_UNCERTAINTY[case]
+    for parse in (instance_from_dict, lambda doc: parse_instance_text(json.dumps(doc))):
+        with pytest.raises(ValidationError) as info:
+            parse(minimal_doc(uncertainty=unc))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+
 class TestParseLayerErrors:
     """Inputs json and the UTF-8 codec reject with exceptions other than
     JSONDecodeError still end in one ParseError."""

@@ -285,6 +285,45 @@ class TestScenarioOptima:
         assert report == max_regret_discrete(TWO_CLIQUE, TIED_SCEN, report.solution)
 
 
+TWO_SCENARIOS_OF_TWO = DiscreteScenarioSet(((1, 2), (3, 4)))
+RANGES_OF_TWO = IntervalUncertainty((1, 2), (3, 4))
+
+
+class TestSizeMismatch:
+    """Every public solver and evaluator of robust refuses an uncertainty
+    that covers fewer vertices than the family has, before any work."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam: max_min_value(fam, TWO_SCENARIOS_OF_TWO, ()),
+            lambda fam: max_regret_discrete(fam, TWO_SCENARIOS_OF_TWO, ()),
+            lambda fam: max_regret_interval(fam, RANGES_OF_TWO, ()),
+            lambda fam: solve_max_min_interval(fam, RANGES_OF_TWO),
+            lambda fam: pareto_frontier(fam, TWO_SCENARIOS_OF_TWO),
+            lambda fam: solve_max_min_exact(fam, TWO_SCENARIOS_OF_TWO),
+            lambda fam: solve_regret_discrete_exact(fam, TWO_SCENARIOS_OF_TWO),
+            lambda fam: solve_max_min_bruteforce(fam, TWO_SCENARIOS_OF_TWO),
+            lambda fam: solve_regret_discrete_bruteforce(fam, TWO_SCENARIOS_OF_TWO),
+            lambda fam: solve_regret_interval_exact(fam, RANGES_OF_TWO),
+            lambda fam: fptas_max_min(fam, TWO_SCENARIOS_OF_TWO, 1),
+            lambda fam: fptas_regret_discrete(fam, TWO_SCENARIOS_OF_TWO, 1),
+        ],
+        ids=[
+            "max_min_value", "max_regret_discrete", "max_regret_interval",
+            "solve_max_min_interval", "pareto_frontier", "solve_max_min_exact",
+            "solve_regret_discrete_exact", "solve_max_min_bruteforce",
+            "solve_regret_discrete_bruteforce", "solve_regret_interval_exact",
+            "fptas_max_min", "fptas_regret_discrete",
+        ],
+    )
+    def test_three_intervals_two_weights(self, call):
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3), (4, 5)])
+        with pytest.raises(ValidationError) as info:
+            call(fam)
+        assert str(info.value) == "uncertainty covers 2 vertices, family has 3"
+
+
 class TestMaxMinInterval:
     def test_all_zero_lower(self):
         u = IntervalUncertainty((0, 0), (5, 7))
@@ -764,6 +803,18 @@ def levels_as_reference(levels, preds):
     return out
 
 
+def assert_reference_prefix(levels, preds, ref, k, sat):
+    """The engine's levels equal the reference DP's first levels, in order
+    and provenance.  The engine stops at its first level that is the lone
+    vector (sat, ..., sat), and every reference level after that is the
+    same vector as a skip."""
+    got = levels_as_reference(levels, preds)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref[: len(got)]]
+    full = (sat,) * k
+    assert all(list(d) != [full] for d in got[:-1])
+    assert all(d == {full: None} for d in ref[len(got):])
+
+
 def saturated_take_ties(fam, columns, sat):
     """Count levels where two parents saturate to the same shifted vector."""
     levels, order, preds = oracles.ref_frontier_levels(fam, columns, 5_000_000, sat=sat)
@@ -805,8 +856,7 @@ class TestFrontierEngine:
                 for sat in (None, rng.randint(1, 10)):
                     levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
                     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-                    got = levels_as_reference(levels, preds)
-                    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+                    assert_reference_prefix(levels, preds, ref, k, sat)
 
     def test_exact_solvers_match_reference_tie_breaks(self):
         rng = random.Random(4242)
@@ -885,8 +935,7 @@ class TestFrontierEngine:
             )
             levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
             ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-            got = levels_as_reference(levels, preds)
-            assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+            assert_reference_prefix(levels, preds, ref, k, sat)
             vecs = [v for v, _ in levels]
             if [(sat,) * k] in vecs:
                 first = vecs.index([(sat,) * k])
@@ -950,8 +999,7 @@ def pack(vec, bits):
 def assert_levels_match_reference(fam, columns, sat=None):
     levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-    got = levels_as_reference(levels, preds)
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
+    assert_reference_prefix(levels, preds, ref, len(columns), sat)
 
 
 class TestPackedVectors:
