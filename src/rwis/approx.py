@@ -48,8 +48,9 @@ def k_approx_regret(
     O(Kn + n log n).  `ties="adversarial"` explores every surrogate optimum
     and returns the worst one (guarded enumeration; used to certify tightness).
     """
+    core._require_same_size(fam, scen.n)
     optima = _surrogate_optima(fam, scenarios._surrogate_discrete(scen), ties, guard)
-    consts = robust._optima(fam, scen)  # after the surrogate solve has checked sizes
+    consts = robust._optima(fam, scen)
     reports = (robust._regret_report(scen, consts, m) for m in optima)
     return max(reports, key=attrgetter("regret_value"))  # the first worst wins
 
@@ -66,6 +67,7 @@ def midpoint_approx_regret(
     lower + upper, then reports that solution's exact maximal regret, which
     is at most twice the optimum.
     """
+    core._require_same_size(fam, u.n)
     optima = _surrogate_optima(fam, scenarios._surrogate_interval(u), ties, guard)
     reports = (robust.max_regret_interval(fam, u, m) for m in optima)
     return max(reports, key=attrgetter("regret_value"))  # the first worst wins

@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import approx, core, gen, robust
 from .errors import (
@@ -192,6 +192,18 @@ def _fmt_value(value: int) -> str:
         ) from None
 
 
+def _layout(rows: Sequence[Sequence[str]], format: str) -> str:
+    """Rows of cells as text: tab-separated for `delimited`; for `table`,
+    two spaces apart with every column but the last padded to its widest
+    cell, so a cell's own trailing spaces are kept."""
+    if format == "delimited":
+        return "".join("\t".join(row) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n" for row in rows
+    )
+
+
 def _instance_id(path: Path, instance: Instance) -> str:
     meta_id = instance.metadata.get("id")
     return str(meta_id) if meta_id is not None else path.stem
@@ -232,14 +244,9 @@ def _write_result(
     ]
     if wall_ms is not None:
         fields.append(("wall_ms", f"{wall_ms:.3f}"))
-    if args.format == "delimited":
-        header = "\t".join(name for name, _ in fields)
-        row = "\t".join(value for _, value in fields)
-        text = f"{header}\n{row}\n"
-    else:
-        width = max(len(name) for name, _ in fields)
-        text = "".join(f"{name.ljust(width)}  {value}\n" for name, value in fields)
-    sys.stdout.write(text)
+    # the table lists one field per line, the delimited layout one per column
+    rows = fields if args.format == "table" else list(zip(*fields))
+    sys.stdout.write(_layout(rows, args.format))
     return EXIT_OK
 
 
@@ -422,13 +429,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
     table = [header] + rows
     if args.out:
-        machine = "".join("\t".join(row) + "\n" for row in table)
         with _writing(args.out):
-            Path(args.out).write_text(machine, encoding="utf-8")
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    for row in table:
-        line = "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-        sys.stdout.write(line + "\n")
+            Path(args.out).write_text(_layout(table, "delimited"), encoding="utf-8")
+    sys.stdout.write(_layout(table, args.format))
     return EXIT_OK
 
 

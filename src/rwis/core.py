@@ -8,10 +8,10 @@ global scaling factor at instance-construction time and keep everything exact.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
@@ -197,6 +197,20 @@ def check_members(n: int, members: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _nonnegative_ints(values: Iterable[int], not_int: str, negative: str) -> tuple[int, ...]:
+    """The values as a tuple of nonnegative ints, else a ValidationError for
+    the first bad entry: `not_int` or `negative` formatted with that entry."""
+    out = tuple(values)
+    if not out or (_all_ints(out) and min(out) >= 0):
+        return out
+    for x in out:
+        if not _is_int(x):
+            raise ValidationError(not_int.format(x))
+        if x < 0:
+            raise ValidationError(negative.format(x))
+    return out
+
+
 def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
     """Validate a weight vector: length n, nonnegative integers."""
     w = tuple(weights)
@@ -204,14 +218,15 @@ def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
         raise ValidationError(
             f"weight vector has length {len(w)}, family has {n} vertices"
         )
-    if not w or (_all_ints(w) and min(w) >= 0):
-        return w
-    for x in w:
-        if not _is_int(x):
-            raise ValidationError(f"weights must be integers, got {x!r}")
-        if x < 0:
-            raise ValidationError(f"negative weight {x} rejected")
-    return w
+    return _nonnegative_ints(
+        w, "weights must be integers, got {!r}", "negative weight {} rejected"
+    )
+
+
+def _require_same_size(fam: IntervalFamily, n: int) -> None:
+    """Refuse an uncertainty model over n vertices for a family of another size."""
+    if len(fam) != n:
+        raise ValidationError(f"uncertainty covers {n} vertices, family has {len(fam)}")
 
 
 def is_independent(fam: IntervalFamily, members: Iterable[int]) -> bool:
@@ -243,6 +258,32 @@ def _prepared(fam: IntervalFamily) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sorted_his = list(map(his.__getitem__, order))
     preds = tuple(map(bisect_left, repeat(sorted_his), map(los.__getitem__, order)))
     return order, preds
+
+
+def _completions(
+    fam: IntervalFamily, weights: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Best-completion tables (first, rest) of one unchecked weight column,
+    indexed by position in the right-endpoint order of _prepared.
+
+    first[f]: best weight of an independent set whose earliest-ending member
+    is position f, by one reverse DP over left-endpoint order.  rest[q]: best
+    weight of one within positions >= q (suffix maxima of first), so rest[n]
+    is 0 and rest[0] is the optimum.
+    """
+    n = len(fam)
+    los, his = fam._los, fam._his
+    by_lo = sorted(range(n), key=los.__getitem__)
+    sorted_los = [los[i] for i in by_lo]
+    after_end = [bisect_right(sorted_los, h) for h in his]
+    after = [0] * (n + 1)  # after[k]: best set in by_lo[k:]
+    for k in range(n - 1, -1, -1):
+        i = by_lo[k]
+        take = weights[i] + after[after_end[i]]
+        after[k] = take if take > after[k + 1] else after[k + 1]
+    first = [weights[i] + after[after_end[i]] for i in _prepared(fam)[0]]
+    rest = list(accumulate(reversed(first), max, initial=0))[::-1]
+    return first, rest
 
 
 def max_weight_is(

@@ -9,17 +9,17 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import inf
 from operator import add, and_, lshift, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from . import core, scenarios
-from .core import IntervalFamily, check_members
+from .core import IntervalFamily, _require_same_size, check_members
 from .errors import FrontierCapError, ValidationError
 from .scenarios import DiscreteScenarioSet, IntervalUncertainty, worst_case_scenario
 
@@ -147,13 +147,6 @@ def solve_max_min_interval(
     """
     _require_same_size(fam, u.n)
     return core.max_weight_is(fam, u.lower)
-
-
-def _require_same_size(fam: IntervalFamily, n: int) -> None:
-    if len(fam) != n:
-        raise ValidationError(
-            f"uncertainty covers {n} vertices, family has {len(fam)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +427,9 @@ def solve_max_min_bruteforce(
 ) -> tuple[tuple[int, ...], int]:
     """Max-min by full enumeration; returns the lexicographically smallest optimum."""
     _require_same_size(fam, scen.n)
-    best_val = None
-    best_members: tuple[int, ...] = ()
-    for members, sums in core._sets_with_sums(fam, scen.scenarios, guard):
-        val = min(sums)
-        if best_val is None or val > best_val:
-            best_val = val
-            best_members = members
-    return best_members, best_val
+    sets = core._sets_with_sums(fam, scen.scenarios, guard)
+    members, sums = min(sets, key=lambda item: _neg_min(item[1]))  # min keeps the first tie
+    return members, min(sums)
 
 
 def solve_regret_discrete_bruteforce(
@@ -450,12 +438,10 @@ def solve_regret_discrete_bruteforce(
     """Min-max regret by full enumeration; lexicographically smallest optimum."""
     _require_same_size(fam, scen.n)
     consts = _optima(fam, scen)
-    best = None
-    for members, sums in core._sets_with_sums(fam, scen.scenarios, guard):
-        regret = max(map(sub, consts, sums))
-        if best is None or regret < best[0]:
-            best = regret, members, sums
-    return _regret_report(scen, consts, best[1], best[2])
+    score = _regret_score(consts)
+    sets = core._sets_with_sums(fam, scen.scenarios, guard)
+    members, sums = min(sets, key=lambda item: score(item[1]))  # min keeps the first tie
+    return _regret_report(scen, consts, members, sums)
 
 
 def solve_regret_interval_exact(
@@ -515,19 +501,7 @@ def _regret_interval_walk(
     order, preds = core._prepared(fam)
     low = [u.lower[i] for i in order]
     up = [u.upper[i] for i in order]
-    # first[f]: best lower-weight set whose first interval is position f,
-    # by one reverse DP over left-endpoint order; rest: its suffix maxima
-    los, his = fam._los, fam._his
-    by_lo = sorted(range(n), key=los.__getitem__)
-    sorted_los = [los[i] for i in by_lo]
-    after_end = [bisect_right(sorted_los, h) for h in his]
-    after = [0] * (n + 1)  # after[k]: best lower-weight set in by_lo[k:]
-    for k in range(n - 1, -1, -1):
-        i = by_lo[k]
-        take = u.lower[i] + after[after_end[i]]
-        after[k] = take if take > after[k + 1] else after[k + 1]
-    first = [w + after[after_end[i]] for w, i in zip(low, order)]
-    rest = list(accumulate(reversed(first), max, initial=0))[::-1]
+    first, rest = core._completions(fam, u.lower)
     best = [0] * (n + 1)
     chosen: list[int] = []  # taken positions, increasing
     branches: list[tuple[int, int]] = []  # (position, lower sum) still to take

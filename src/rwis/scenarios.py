@@ -11,22 +11,18 @@ from dataclasses import dataclass, field
 from operator import add, le
 from typing import Iterable, Iterator
 
-from .core import IntervalFamily, _all_ints, _is_int, check_members, resolve_guard
+from .core import (
+    IntervalFamily, _is_int, _nonnegative_ints, _require_same_size, check_members, resolve_guard
+)
 from .errors import GuardError, ValidationError
 
 DEFAULT_EXTREME_GUARD = 12
 
 
 def _check_vector(v: Iterable[int], what: str) -> tuple[int, ...]:
-    out = tuple(v)
-    if not out or (_all_ints(out) and min(out) >= 0):
-        return out
-    for x in out:
-        if not _is_int(x):
-            raise ValidationError(f"{what} must contain integers, got {x!r}")
-        if x < 0:
-            raise ValidationError(f"{what} must be nonnegative, got {x}")
-    return out
+    return _nonnegative_ints(
+        v, f"{what} must contain integers, got {{!r}}", f"{what} must be nonnegative, got {{}}"
+    )
 
 
 @dataclass(frozen=True)
@@ -45,10 +41,6 @@ class DiscreteScenarioSet:
         lengths = {len(s) for s in rows}
         if len(lengths) > 1:
             raise ValidationError(f"scenarios have inconsistent lengths {sorted(lengths)}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "DiscreteScenarioSet":
-        return cls(tuple(tuple(r) for r in rows))
 
     @property
     def k(self) -> int:
@@ -82,11 +74,6 @@ class IntervalUncertainty:
                         f"vertex {i}: lower bound {a} exceeds upper bound {b}"
                     )
 
-    @classmethod
-    def from_ranges(cls, ranges: Iterable[tuple[int, int]]) -> "IntervalUncertainty":
-        pairs = list(ranges)
-        return cls(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-
     @property
     def n(self) -> int:
         return len(self.lower)
@@ -115,14 +102,7 @@ class Instance:
             raise ValidationError(
                 f"scaling factor must be a positive integer, got {self.scaling_factor!r}"
             )
-        if self.uncertainty.n != len(self.family):
-            raise ValidationError(
-                f"uncertainty covers {self.uncertainty.n} vertices, family has {len(self.family)}"
-            )
-
-    @property
-    def is_discrete(self) -> bool:
-        return isinstance(self.uncertainty, DiscreteScenarioSet)
+        _require_same_size(self.family, self.uncertainty.n)
 
 
 def _surrogate_discrete(scen: DiscreteScenarioSet) -> tuple[int, ...]:

@@ -77,7 +77,7 @@ class TestKApprox:
         scen = DiscreteScenarioSet(((1, 2, 3),))
         with pytest.raises(ValidationError) as info:
             k_approx_regret(fam, scen, ties=ties)
-        assert str(info.value) == "weight vector has length 3, family has 2 vertices"
+        assert str(info.value) == "uncertainty covers 3 vertices, family has 2"
 
     def test_refusals_come_before_any_scenario_optimum(self, monkeypatch):
         inst = gen_random(n=21, model="discrete", k=2, w_max=5, density=0.5, seed=1)
@@ -89,6 +89,14 @@ class TestKApprox:
 
 
 class TestMidpointApprox:
+    @pytest.mark.parametrize("ties", ["canonical", "adversarial"])
+    def test_size_mismatch_names_the_uncertainty(self, ties):
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3)])
+        u = IntervalUncertainty((1, 2, 3), (4, 5, 6))
+        with pytest.raises(ValidationError) as info:
+            midpoint_approx_regret(fam, u, ties=ties)
+        assert str(info.value) == "uncertainty covers 3 vertices, family has 2"
+
     def test_degenerate_ranges_zero_regret(self):
         fam = IntervalFamily.from_pairs([(0, 1), (0, 1)])
         u = IntervalUncertainty((2, 7), (2, 7))

@@ -103,6 +103,18 @@ class TestSolve:
         row = lines[1].split("\t")
         assert dict(zip(header, row))["algorithm"] == "exact"
 
+    def test_table_keeps_trailing_spaces_of_the_last_column(self, capsys, tmp_path):
+        path = tmp_path / "spaced.json"
+        doc = json.loads((GOLDEN / "tight_k2.json").read_text())
+        doc["metadata"] = {"id": "tight k2 "}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "solve", str(path), "--problem", "maxmin", "--algorithm", "exact",
+            "--format", "table",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "instance" + " " * 8 + "tight k2 "
+
     def test_byte_determinism(self, capsys):
         argv = (
             "solve", str(GOLDEN / "vc_5v6e_L3.json"),
@@ -829,6 +841,23 @@ class TestBench:
         )
         assert code == 0
         assert out == BENCH_REGRET_GOLDEN
+
+    def test_format_delimited_prints_the_out_file(self, capsys, tmp_path):
+        argv = (
+            "bench", str(GOLDEN), "--problem", "regret", "--epsilon", "0.5",
+            "--algorithms", "exact,fptas,kapprox,midpoint,bruteforce",
+        )
+        table_file, delimited_file = tmp_path / "t.tsv", tmp_path / "d.tsv"
+        code, table, _ = run(capsys, *argv, "--out", str(table_file))
+        assert code == 0 and table == BENCH_REGRET_GOLDEN
+        code, delimited, _ = run(
+            capsys, *argv, "--format", "delimited", "--out", str(delimited_file)
+        )
+        assert code == 0
+        assert delimited.encode() == delimited_file.read_bytes() == table_file.read_bytes()
+        assert [row.split("\t") for row in delimited.splitlines()] == [
+            row.split() for row in table.splitlines()
+        ]
 
     def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
         target = tmp_path / "missing" / "b.tsv"

@@ -428,3 +428,22 @@ class TestAllOptima:
         w = (2, 2, 1)
         members, _ = max_weight_is(fam, w)
         assert members in max_weight_is_all_optima(fam, w)
+
+
+class TestCompletions:
+    @given(families_with_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_enumeration(self, fam_w):
+        fam, w = fam_w
+        n = len(fam)
+        position = {v + 1: f for f, v in enumerate(core._prepared(fam)[0])}
+        # (lowest position, weight) of every independent set; n for the empty set
+        sets = [
+            (min((position[i] for i in members), default=n), sum(w[i - 1] for i in members))
+            for members in map(oracles.mask_to_members, oracles.independent_masks(fam))
+        ]
+        first, rest = core._completions(fam, w)
+        # the lowest position in right-endpoint order is the earliest-ending member
+        assert first == [max(x for f, x in sets if f == q) for q in range(n)]
+        assert rest == [max(x for f, x in sets if f >= q) for q in range(n + 1)]
+        assert rest[n] == 0 and rest[0] == max_weight_is(fam, w)[1]

@@ -440,6 +440,25 @@ class TestExactSolvers:
                 == oracles.brute_regret_discrete(fam, scen.scenarios)
             )
 
+    def test_bruteforce_returns_the_smallest_tied_optimum(self):
+        # weights <= 2 make many sets tie; the answer is the lexicographically
+        # smallest optimal member tuple among all independent sets
+        rng = random.Random(1515)
+        for _ in range(150):
+            fam, scen = random_discrete(rng, max_n=10, max_k=4, w_max=2)
+            sets = sorted(map(oracles.mask_to_members, oracles.independent_masks(fam)))
+            sums = {m: [sum(s[i - 1] for i in m) for s in scen.scenarios] for m in sets}
+            consts = [max(column) for column in zip(*sums.values())]
+            regret = {m: max(c - x for c, x in zip(consts, sums[m])) for m in sets}
+            best_min = max(min(sums[m]) for m in sets)
+            smallest = next(m for m in sets if min(sums[m]) == best_min)
+            assert solve_max_min_bruteforce(fam, scen) == (smallest, best_min)
+            least = min(regret.values())
+            smallest = next(m for m in sets if regret[m] == least)
+            report = solve_regret_discrete_bruteforce(fam, scen)
+            assert report == max_regret_discrete(fam, scen, smallest)
+            assert report.regret_value == least
+
     def test_monotone_under_scaling(self):
         rng = random.Random(88)
         for _ in range(25):
