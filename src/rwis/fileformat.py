@@ -59,7 +59,11 @@ def _require_pairs(raw: list) -> tuple[list[int], list[int]]:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    """Plain-data form of an instance, ready for json.dump."""
+    """Plain-data form of an instance, ready for json.dump.
+
+    dumps_instance writes what json.dumps(..., indent=2, sort_keys=True)
+    writes for this document; the tests compare the two.
+    """
     doc: dict = {
         "format_version": FORMAT_VERSION,
         "scaling_factor": instance.scaling_factor,
@@ -163,9 +167,54 @@ def parse_instance(path: str | Path) -> Instance:
     return parse_instance_text(text, source=str(p))
 
 
+def _list(items: list[str], depth: int) -> str:
+    """Laid-out values, one per line, as json.dumps(indent=2) lays out a list
+    at nesting `depth`."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _ints(xs, depth: int) -> str:
+    # int.__repr__ is json's own int formatter: IntEnum entries print as values
+    return _list(list(map(int.__repr__, xs)), depth)
+
+
+# One [lo, hi] pair at depth 2.  %d prints an int subclass by its value and
+# enforces the int-to-str digit limit, exactly as int.__repr__ does.
+_PAIR = "[\n      %d,\n      %d\n    ]"
+
+
 def dumps_instance(instance: Instance) -> str:
-    """Canonical byte-stable serialization."""
-    return json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
+    """Canonical byte-stable serialization.
+
+    The same bytes as json.dumps(instance_to_dict(instance), indent=2,
+    sort_keys=True) + "\n", built with C-level joins: json's indenting
+    encoder is pure Python and takes one generator step per integer.  The
+    top-level keys are fixed and written in sorted order.  Free-form metadata
+    goes through json itself, one indent level deeper; JSON text never holds
+    a raw newline inside a string, so shifting its newlines is exact.
+    """
+    fam = instance.family
+    out = [
+        '{\n  "format_version": ', int.__repr__(FORMAT_VERSION),
+        ',\n  "intervals": ', _list(list(map(_PAIR.__mod__, zip(fam._los, fam._his))), 1),
+    ]
+    if instance.metadata:
+        metadata = json.dumps(instance.metadata, indent=2, sort_keys=True)
+        out += [',\n  "metadata": ', metadata.replace("\n", "\n  ")]
+    out += [',\n  "scaling_factor": ', int.__repr__(instance.scaling_factor),
+            ',\n  "uncertainty": {\n    ']
+    unc = instance.uncertainty
+    if isinstance(unc, DiscreteScenarioSet):
+        out += ['"scenarios": ', _list([_ints(row, 3) for row in unc.scenarios], 2),
+                ',\n    "type": "discrete"']
+    else:
+        out += ['"lower": ', _ints(unc.lower, 2),
+                ',\n    "type": "interval",\n    "upper": ', _ints(unc.upper, 2)]
+    out.append("\n  }\n}\n")
+    return "".join(out)
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

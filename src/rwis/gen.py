@@ -343,20 +343,21 @@ def gen_random(
         )
     rng = random.Random(seed)
     span = 4 * n
-    intervals = []
+    los: list[int] = []
+    his: list[int] = []
     if density == 0.0:
         # one interval per window [4i, 4i+3]; windows never touch
         for i in range(n):
             lo = 4 * i + rng.randint(0, 1)
-            hi = lo + rng.randint(0, 1)
-            intervals.append(Interval(lo, hi))
+            los.append(lo)
+            his.append(lo + rng.randint(0, 1))
     else:
         max_lo = max(0, round((span - 2) * (1.0 - density)))
         max_len = 2 + round(4 * density)
         for _ in range(n):
             lo = rng.randint(0, max_lo)
-            hi = min(lo + rng.randint(0, max_len), span)
-            intervals.append(Interval(lo, hi))
+            los.append(lo)
+            his.append(min(lo + rng.randint(0, max_len), span))
     if model == "discrete":
         uncertainty: DiscreteScenarioSet | IntervalUncertainty = DiscreteScenarioSet(
             tuple(
@@ -373,7 +374,7 @@ def gen_random(
             upper.append(max(a, b))
         uncertainty = IntervalUncertainty(tuple(lower), tuple(upper))
     return Instance(
-        family=IntervalFamily(tuple(intervals)),
+        family=IntervalFamily._from_columns(los, his),
         uncertainty=uncertainty,
         scaling_factor=1,
         metadata={

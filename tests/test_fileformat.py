@@ -2,22 +2,32 @@ import enum
 import json
 import random
 import sys
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_defs
 from rwis import (
     Instance,
     IntervalFamily,
+    IntervalUncertainty,
     DiscreteScenarioSet,
     ParseError,
+    PartitionInput,
+    UndirectedGraph,
     ValidationError,
     dumps_instance,
+    gen_partition,
     gen_random,
+    gen_tight_k,
+    gen_tight_midpoint,
+    gen_vertex_cover,
     parse_instance,
     write_instance,
 )
-from rwis.fileformat import instance_from_dict, parse_instance_text
+from rwis.fileformat import instance_from_dict, instance_to_dict, parse_instance_text
 
 GOLDEN = sorted(golden_defs.GOLDEN_DIR.glob("*.json"))
 
@@ -351,3 +361,140 @@ class TestParseLayerErrors:
         with pytest.raises(ParseError) as info:
             parse_instance_text(text, source="long.json")
         assert str(info.value) == f"long.json: integer literal longer than {limit} digits"
+
+
+def reference_dumps(instance):
+    """The writer's specification: json's own indenting encoder."""
+    return json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
+
+
+def write_outcome(write, instance):
+    """The text `write` produces, or the type and message of what it raises."""
+    try:
+        return write(instance)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def seeded_generator_output():
+    rng = random.Random(3)
+    out = {"tight_k2": gen_tight_k(2), "tight_k3": gen_tight_k(3),
+           "tight_midpoint": gen_tight_midpoint()}
+    for i in range(6):
+        edges = {tuple(sorted(rng.sample(range(1, 6), 2))) for _ in range(rng.randint(1, 6))}
+        graph = UndirectedGraph.from_edges(5, edges)
+        out[f"vertex_cover_{i}"] = gen_vertex_cover(graph, rng.randint(1, 3))
+        values = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
+        out[f"partition_{i}"] = gen_partition(PartitionInput(tuple(values)))
+    for density in (0.0, 0.5, 1.0):
+        for seed in range(3):
+            out[f"random_interval_{density}_{seed}"] = gen_random(
+                n=30, model="interval", w_max=10**6, density=density, seed=seed)
+            out[f"random_discrete_{density}_{seed}"] = gen_random(
+                n=20, model="discrete", k=3, w_max=20, density=density, seed=seed)
+    return out
+
+
+def ranges(lower, upper, pairs=None, **kwargs):
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(lower))] if pairs is None else pairs
+    return Instance(IntervalFamily.from_pairs(pairs),
+                    IntervalUncertainty(tuple(lower), tuple(upper)), **kwargs)
+
+
+def scenarios(*rows, **kwargs):
+    n = len(rows[0])
+    return Instance(IntervalFamily.from_pairs([(i, i + 2) for i in range(n)]),
+                    DiscreteScenarioSet(tuple(rows)), **kwargs)
+
+
+METADATA = {
+    "nested": {"b": [1, {"c": [None, True, False]}], "a": {"z": {}, "y": []}},
+    "non-ascii": {"name": "Nobibon–Leus ÿ \u2603 \U0001F600", "κ": "\n\t\"\\"},
+    "floats": {"neg_zero": -0.0, "big": 1e300, "small": 5e-324, "pi": 3.141592653589793},
+    "scalars": {"none": None, "yes": True, "no": False, "int": -7, "str": ""},
+    "empty-containers": {"d": {}, "l": []},
+    "int-keys": {3: "c", 1: "a", 2: "b"},
+}
+
+WRITER_CASES = {
+    **seeded_generator_output(),
+    "empty-family-ranges": ranges([], []),
+    "empty-family-one-empty-scenario": Instance(
+        IntervalFamily(()), DiscreteScenarioSet(((),))),
+    "k1": scenarios((4, 0, 9)),
+    "k5": scenarios(*[tuple(range(k, k + 6)) for k in range(5)], scaling_factor=3),
+    "int-enum-ranges": ranges(
+        [Small.ZERO, Small.ONE], [Small.TWO, Small.THREE],
+        pairs=[(Small.ZERO, Small.ONE), (Small.TWO, Small.THREE)],
+        scaling_factor=Small.TWO),
+    "int-enum-scenarios": scenarios((Small.ONE, Small.THREE), (0, Small.TWO),
+                                    scaling_factor=Small.THREE),
+    "one-vertex": ranges([0], [10**18], pairs=[(5, 5)]),
+    **{f"metadata-{name}": ranges([1], [2], metadata=md) for name, md in METADATA.items()},
+}
+
+_BIG = 10 ** (sys.get_int_max_str_digits() + 1)
+_cycle: dict = {}
+_cycle["self"] = _cycle
+
+# instances json cannot write: the writer must raise json's own exception
+UNWRITABLE = {
+    "metadata-set": ranges([1], [2], metadata={"tags": {1, 2}}),
+    "metadata-mixed-keys": ranges([1], [2], metadata={1: "a", "b": 2}),
+    "metadata-circular": ranges([1], [2], metadata=_cycle),
+    "metadata-over-digit-limit": ranges([1], [2], metadata={"n": _BIG}),
+    "weight-over-digit-limit": ranges([1, 0], [_BIG, 0]),
+    "scenario-over-digit-limit": scenarios((_BIG,)),
+    "endpoint-over-digit-limit": ranges([1], [2], pairs=[(0, _BIG)]),
+    # intervals come before metadata in key order, so they fail first
+    "endpoint-before-metadata": ranges([1], [2], pairs=[(0, _BIG)], metadata={"s": {1}}),
+    "scaling-factor-over-digit-limit": ranges([1], [2], scaling_factor=_BIG),
+}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    ints = st.integers(min_value=0, max_value=10**12)
+    column = st.lists(ints, min_size=n, max_size=n)
+    starts, lengths = draw(column), draw(column)
+    family = IntervalFamily.from_pairs(zip(starts, map(add, starts, lengths)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=5))
+        uncertainty = DiscreteScenarioSet(tuple(tuple(draw(column)) for _ in range(k)))
+    else:
+        lower = draw(column)
+        uncertainty = IntervalUncertainty(tuple(lower), tuple(map(add, lower, draw(column))))
+    return Instance(
+        family=family,
+        uncertainty=uncertainty,
+        scaling_factor=draw(st.integers(min_value=1, max_value=10**6)),
+        metadata=draw(st.dictionaries(st.text(max_size=4), json_values, max_size=3)),
+    )
+
+
+class TestWriterMatchesJson:
+    """dumps_instance writes exactly what json's indenting encoder writes."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_same_text_as_json(self, case):
+        instance = WRITER_CASES[case]
+        assert dumps_instance(instance) == reference_dumps(instance)
+
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE))
+    def test_same_exception_as_json(self, case):
+        expected = write_outcome(reference_dumps, UNWRITABLE[case])
+        assert isinstance(expected, tuple)  # json itself refuses the case
+        assert write_outcome(dumps_instance, UNWRITABLE[case]) == expected
+
+    @given(small_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_small_instances(self, instance):
+        assert dumps_instance(instance) == reference_dumps(instance)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from rwis import (
     PartitionInput,
     UndirectedGraph,
     ValidationError,
+    dumps_instance,
     enumerate_independent_sets,
     gen_partition,
     gen_random,
@@ -390,3 +392,32 @@ class TestRandomGenerator:
         assert gen_random(n=4, model="discrete", k=3, w_max=5, density=0.5, seed=0).family.n == 4
         with pytest.raises(ValidationError, match="more than 12 weight cells"):
             gen_random(n=7, model="interval", w_max=5, density=0.5, seed=0)
+
+
+# sha256 of the written bytes of random instances that no golden file covers
+# (the one random golden file is discrete, n=10): the interval model at each
+# density branch, a bulk-sized range instance and a K=3 discrete instance
+PINNED_RANDOM = {
+    "interval-n40-density0": (
+        dict(n=40, model="interval", w_max=1000, density=0.0, seed=11),
+        "862765552eedc23a5ec3bfff0abb9069a81980f78e3062f8019244f7e1b2ecb7"),
+    "interval-n40-density0.5": (
+        dict(n=40, model="interval", w_max=1000, density=0.5, seed=11),
+        "cbf69878ab69189b860c9ea3e0c8fd941262018baa7cbd7053fb105fcaf73826"),
+    "interval-n40-density1": (
+        dict(n=40, model="interval", w_max=1000, density=1.0, seed=11),
+        "5974999442b5cedb7b39915a9b73620e03cb5f5eab65ca635a2dbe58e492b423"),
+    "interval-n5000-wmax1e6": (
+        dict(n=5000, model="interval", w_max=10**6, density=0.5, seed=7),
+        "42bdc3b6fd2e8cc8001a53f17e63558adb7321030612e31011005275e8c1d26b"),
+    "discrete-k3-n26": (
+        dict(n=26, model="discrete", k=3, w_max=20, density=0.5, seed=3),
+        "be854e046ec1c2d4a79acd2ff5e4bc91ef22ee9a0ee6ba857b1e96613b8f4f03"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RANDOM))
+def test_random_instance_bytes_are_pinned(case):
+    kwargs, digest = PINNED_RANDOM[case]
+    text = dumps_instance(gen_random(**kwargs))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
