@@ -52,6 +52,7 @@ from .robust import (
     solve_max_min_interval,
     solve_regret_discrete_bruteforce,
     solve_regret_discrete_exact,
+    solve_regret_interval_bruteforce,
     solve_regret_interval_exact,
     weight_under,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "solve_max_min_bruteforce",
     "solve_regret_discrete_bruteforce",
     "solve_regret_interval_exact",
+    "solve_regret_interval_bruteforce",
     "fptas_max_min",
     "fptas_regret_discrete",
     "k_approx_regret",

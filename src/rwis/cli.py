@@ -82,10 +82,6 @@ def _solve_det(r: _Request) -> tuple[tuple[int, ...], int]:
     return core.max_weight_is(r.fam, _deterministic_vector(r.instance))
 
 
-def _solve_regret_interval(r: _Request) -> robust.RegretReport:
-    return robust.solve_regret_interval_exact(r.fam, r.u, r.guard)
-
-
 # (problem, algorithm) -> (entry for discrete scenarios, entry for weight
 # ranges).  An entry is either a solver, called with a _Request and returning
 # (members, value) or a RegretReport, or the message refusing that model.  A
@@ -110,7 +106,7 @@ SOLVERS = {
     ),
     ("regret", "exact"): (
         lambda r: robust.solve_regret_discrete_exact(r.fam, r.u),
-        _solve_regret_interval,
+        lambda r: robust.solve_regret_interval_exact(r.fam, r.u, r.guard),
     ),
     ("regret", "fptas"): (
         lambda r: robust.fptas_regret_discrete(r.fam, r.u, _need_epsilon(r)),
@@ -118,7 +114,7 @@ SOLVERS = {
     ),
     ("regret", "bruteforce"): (
         lambda r: robust.solve_regret_discrete_bruteforce(r.fam, r.u, r.guard),
-        _solve_regret_interval,
+        lambda r: robust.solve_regret_interval_bruteforce(r.fam, r.u, r.guard),
     ),
     ("regret", "kapprox"): (
         lambda r: approx.k_approx_regret(r.fam, r.u, ties=r.ties, guard=r.guard),

@@ -286,6 +286,56 @@ def _completions(
     return first, rest
 
 
+def _cut_tables(
+    preds: Sequence[int], first: Sequence[int]
+) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """Tables (high, cuts) that give, for every position pos and every
+    nondecreasing prefix best[0..pos],
+
+        max(best[pos], max over f >= pos of best[min(preds[f], pos)] + first[f])
+        == max(best[pos] + high[pos], max over (q, g) in cuts[pos] of best[q] + g).
+
+    high[pos] is 0 or the largest first[f] over f >= pos with preds[f] >= pos:
+    those terms all read best[pos].  cuts[pos] holds one pair (q, g) per
+    q = preds[f] < pos, g the largest first[f] for that q, ascending in q and
+    kept only while g exceeds high[pos] and every g of a larger q.  Since
+    best[q] <= best[q'] for q <= q', a dropped pair is at most a kept term.
+
+    One right-to-left pass over a staircase.  A pair once dropped stays
+    dominated at every smaller pos: its dominator either stays or moves
+    into high, and high only grows.  So the tables take space and time
+    proportional to the sum of their lengths.
+    """
+    n = len(first)
+    high = [0] * n
+    cuts: list[tuple[tuple[int, int], ...]] = [()] * n
+    qs: list[int] = []  # the staircase: q ascending, g descending
+    gs: list[int] = []
+    top = 0
+    for pos in range(n - 1, -1, -1):
+        if qs and qs[-1] == pos:  # q = pos now reads best[pos]
+            qs.pop()
+            top = max(top, gs.pop())
+        q, g = preds[pos], first[pos]
+        if q == pos:
+            top = max(top, g)
+        while gs and gs[-1] <= top:
+            qs.pop()
+            gs.pop()
+        if q < pos and g > top:
+            i = bisect_left(qs, q)
+            if i == len(qs) or gs[i] < g:  # not dominated by a q' >= q
+                lo = i
+                while lo and gs[lo - 1] <= g:
+                    lo -= 1
+                hi = i + 1 if i < len(qs) and qs[i] == q else i
+                qs[lo:hi] = (q,)
+                gs[lo:hi] = (g,)
+        high[pos] = top
+        cuts[pos] = tuple(zip(qs, gs))
+    return high, cuts
+
+
 def max_weight_is(
     fam: IntervalFamily, weights: Iterable[int]
 ) -> tuple[tuple[int, ...], int]:

@@ -444,6 +444,27 @@ def solve_regret_discrete_bruteforce(
     return _regret_report(scen, consts, members, sums)
 
 
+def solve_regret_interval_bruteforce(
+    fam: IntervalFamily, u: IntervalUncertainty, guard: int | None = None
+) -> RegretReport:
+    """Min-max regret under ranges by full enumeration; lexicographically
+    smallest optimum.
+
+    Each independent set X is scored by one deterministic solve,
+    opt(s_X) - low(X) with s_X its worst-case scenario, so the result does
+    not depend on the bounded walk of solve_regret_interval_exact.
+    """
+    _require_same_size(fam, u.n)
+
+    def regret(item: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        members, (low,) = item
+        return opt_weight(fam, worst_case_scenario(u, members)) - low
+
+    sets = core._sets_with_sums(fam, (u.lower,), guard)
+    members, _ = min(sets, key=regret)  # min keeps the first tie
+    return max_regret_interval(fam, u, members)
+
+
 def solve_regret_interval_exact(
     fam: IntervalFamily, u: IntervalUncertainty, guard: int | None = None
 ) -> RegretReport:
@@ -468,8 +489,19 @@ def solve_regret_interval_exact(
     rest[pos].  opt(s') is best[pos], or best[min(p(f), pos)] + first[f] for
     the first undecided position f it takes, where first[f] is low[f] plus
     the best lower-weight set starting after f ends.  first and rest cost
-    one O(n log n) pass; each bound costs O(n).  Positions that must be
-    skipped are not bounded.
+    one O(n log n) pass.  Positions that must be skipped are not bounded.
+
+    Cut tables.  opt(s') is not rescanned over every f >= pos.  The terms
+    with p(f) >= pos all read best[pos], so they fold into one number,
+    high[pos], the largest such first[f].  The others read best[q] for q =
+    p(f) < pos, the cut set R(pos); per q only the largest first[f], g,
+    matters.  best is nondecreasing, so a pair (q, g) adds nothing to the
+    max when a larger q has g at least as large, or when g <= high[pos]; the
+    remaining pairs, cuts[pos], give opt(s') = max(best[pos] + high[pos],
+    best[q] + g over cuts[pos]) as the same int.  core._cut_tables builds
+    both in one right-to-left pass, once per solve, in space proportional
+    to the total length of the cuts, and a node costs O(|cuts[pos]|)
+    instead of O(n - pos).
 
     Seed and ties.  The incumbent starts at the midpoint 2-approximation
     (one solve on lower + upper), and a subtree is cut only when its bound
@@ -502,6 +534,7 @@ def _regret_interval_walk(
     low = [u.lower[i] for i in order]
     up = [u.upper[i] for i in order]
     first, rest = core._completions(fam, u.lower)
+    high, cuts = core._cut_tables(preds, first)
     best = [0] * (n + 1)
     chosen: list[int] = []  # taken positions, increasing
     branches: list[tuple[int, int]] = []  # (position, lower sum) still to take
@@ -510,13 +543,10 @@ def _regret_interval_walk(
         while pos < n:  # skip every remaining position
             if last <= preds[pos]:  # pos may be taken: bound the subtree
                 nodes += 1
-                here = best[pos]
-                opt = here
-                for f in range(pos, n):
-                    q = preds[f]
-                    v = (best[q] if q < pos else here) + first[f]
-                    if v > opt:
-                        opt = v
+                opt = best[pos] + high[pos]
+                for q, g in cuts[pos]:
+                    if best[q] + g > opt:
+                        opt = best[q] + g
                 if opt - lower_sum - rest[pos] > best_regret:
                     break
                 branches.append((pos, lower_sum))

@@ -384,3 +384,64 @@ def ref_fptas_regret_discrete(fam, scen, eps, cap=5_000_000):
             best_scaled = regret
             best_vec = vec
     return ref_backtrack(levels, order, preds, best_vec)
+
+
+# ---------------------------------------------------------------------------
+# Reference interval-regret walk: the bounded walk as it was before its bound
+# was read from core._cut_tables, kept as the node-count reference.  Each
+# node scans every undecided position to bound opt(s') in O(n).
+
+
+def scan_opt_bound(preds, first, best, pos):
+    """max(best[pos], max over f >= pos of best[min(preds[f], pos)] + first[f]),
+    by a direct scan: the walk's bound on opt(s') at position pos."""
+    opt = best[pos]
+    for f in range(pos, len(preds)):
+        opt = max(opt, best[min(preds[f], pos)] + first[f])
+    return opt
+
+
+def ref_regret_interval_walk(fam, u):
+    """(members, regret, nodes) of the walk with the O(n) scan per node."""
+    from rwis import core, scenarios
+    from rwis.robust import max_regret_interval
+
+    n = len(fam)
+    seed = max_regret_interval(
+        fam, u, core.max_weight_is(fam, scenarios._surrogate_interval(u))[0]
+    )
+    best_regret, best_members = seed.regret_value, seed.solution
+    order, preds = core._prepared(fam)
+    low = [u.lower[i] for i in order]
+    up = [u.upper[i] for i in order]
+    first, rest = core._completions(fam, u.lower)
+    best = [0] * (n + 1)
+    chosen = []
+    branches = []
+    pos = last = lower_sum = nodes = 0
+    while True:
+        while pos < n:
+            if last <= preds[pos]:
+                nodes += 1
+                opt = scan_opt_bound(preds, first, best, pos)
+                if opt - lower_sum - rest[pos] > best_regret:
+                    break
+                branches.append((pos, lower_sum))
+            best[pos + 1] = max(best[pos], best[preds[pos]] + up[pos])
+            pos += 1
+        else:
+            regret = best[n] - lower_sum
+            members = tuple(sorted(order[p] + 1 for p in chosen))
+            if (regret, members) < (best_regret, best_members):
+                best_regret, best_members = regret, members
+        if not branches:
+            break
+        pos, lower_sum = branches.pop()
+        while chosen and chosen[-1] > pos:
+            chosen.pop()
+        chosen.append(pos)
+        last = pos + 1
+        lower_sum += low[pos]
+        best[pos + 1] = max(best[pos], best[preds[pos]] + low[pos])
+        pos += 1
+    return best_members, best_regret, nodes

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import golden_defs
-from rwis import DiscreteScenarioSet, RwisError, cli, errors, gen, parse_instance, robust
+from rwis import (
+    DiscreteScenarioSet, RwisError, cli, errors, gen, parse_instance, robust, write_instance,
+)
 from rwis.cli import main
 
 GOLDEN = golden_defs.GOLDEN_DIR
@@ -207,6 +210,42 @@ class TestEvaluateReproducesSolve:
             fields = _fields(out)
             assert code == 0
             assert (fields["value"], fields["solution"], fields["witness"]) == ("5", "4,2,4", "-")
+
+
+class TestRangeBruteforce:
+    """regret/bruteforce under ranges enumerates; it never runs the walk
+    that regret/exact runs, so comparing the two checks the walk."""
+
+    def test_answers_without_the_walk_and_equals_exact(self, capsys, tmp_path, monkeypatch):
+        rng = random.Random(71)
+        paths = [GOLDEN / "partition_2_2_1_3.json", GOLDEN / "tight_midpoint.json"]
+        for k in range(30):
+            inst = gen.gen_random(
+                n=rng.randint(1, 12), model="interval", w_max=rng.choice([2, 9, 1000]),
+                density=rng.choice([0.0, 0.3, 0.6, 0.9]), seed=rng.randrange(1 << 30),
+            )
+            paths.append(tmp_path / f"r{k}.json")
+            write_instance(inst, paths[-1])
+        exact = {}
+        for path in paths:
+            code, out, err = run(
+                capsys, "solve", str(path), "--problem", "regret", "--algorithm", "exact"
+            )
+            assert (code, err) == (0, "")
+            exact[path] = out
+
+        def refuse(fam, u):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(robust, "_regret_interval_walk", refuse)
+        for path in paths:
+            code, out, err = run(
+                capsys, "solve", str(path), "--problem", "regret", "--algorithm", "bruteforce"
+            )
+            assert (code, err) == (0, "")
+            assert _fields(out) == {**_fields(exact[path]), "algorithm": "bruteforce"}
+        with pytest.raises(AssertionError, match="the walk ran"):
+            main(["solve", str(paths[0]), "--problem", "regret", "--algorithm", "exact"])
 
 
 class TestColumnFamilies:

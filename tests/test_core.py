@@ -447,3 +447,53 @@ class TestCompletions:
         assert first == [max(x for f, x in sets if f == q) for q in range(n)]
         assert rest == [max(x for f, x in sets if f >= q) for q in range(n + 1)]
         assert rest[n] == 0 and rest[0] == max_weight_is(fam, w)[1]
+
+
+@st.composite
+def cut_table_inputs(draw, max_n=14):
+    """(preds, first, best): predecessors of a drawn family, first from its
+    completion tables or drawn freely, and a nondecreasing prefix best."""
+    fam, w = draw(families_with_weights(max_n=max_n))
+    n = len(fam)
+    preds = core._prepared(fam)[1]
+    if draw(st.booleans()):
+        first = core._completions(fam, w)[0]
+    else:
+        first = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1))
+    best = [sum(steps[: i + 1]) for i in range(n + 1)]
+    return preds, first, best
+
+
+class TestCutTables:
+    @given(cut_table_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_table_bound_equals_the_scan_at_every_position(self, args):
+        preds, first, best = args
+        high, cuts = core._cut_tables(preds, first)
+        assert len(high) == len(cuts) == len(preds)
+        for pos, (top, pairs) in enumerate(zip(high, cuts)):
+            table = max([best[pos] + top] + [best[q] + g for q, g in pairs])
+            assert table == oracles.scan_opt_bound(preds, first, best, pos)
+            # the staircase: q ascending below pos, g descending above high
+            qs = [q for q, _ in pairs]
+            gs = [g for _, g in pairs]
+            assert qs == sorted(set(qs)) and all(q < pos for q in qs)
+            assert gs == sorted(set(gs), reverse=True) and all(g > top for g in gs)
+
+    def test_folded_terms(self):
+        # positions 0, 1, 2 = [0, 1], [2, 3], [2, 4]: preds (0, 1, 1)
+        fam = IntervalFamily.from_pairs([(0, 1), (2, 3), (2, 4)])
+        preds = core._prepared(fam)[1]
+        assert preds == (0, 1, 1)
+        high, cuts = core._cut_tables(preds, [5, 2, 3])
+        # at pos 2 the last term reads best[1], before pos: a cut pair; at
+        # pos 1 both later terms read best[1] = best[pos] and fold into high
+        assert high == [5, 3, 0] and cuts == [(), (), ((1, 3),)]
+
+    def test_deep_clique_keeps_one_pair_per_position(self):
+        n = 1500
+        preds = core._prepared(IntervalFamily.from_pairs([(0, 1)] * n))[1]
+        high, cuts = core._cut_tables(preds, [1] * n)
+        assert high == [1] + [0] * (n - 1)
+        assert cuts == [()] + [((0, 1),)] * (n - 1)

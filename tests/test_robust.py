@@ -40,6 +40,7 @@ from rwis import (
     solve_max_min_interval,
     solve_regret_discrete_bruteforce,
     solve_regret_discrete_exact,
+    solve_regret_interval_bruteforce,
     solve_regret_interval_exact,
     weight_under,
     worst_case_scenario,
@@ -306,6 +307,7 @@ class TestSizeMismatch:
             lambda fam: solve_max_min_bruteforce(fam, TWO_SCENARIOS_OF_TWO),
             lambda fam: solve_regret_discrete_bruteforce(fam, TWO_SCENARIOS_OF_TWO),
             lambda fam: solve_regret_interval_exact(fam, RANGES_OF_TWO),
+            lambda fam: solve_regret_interval_bruteforce(fam, RANGES_OF_TWO),
             lambda fam: fptas_max_min(fam, TWO_SCENARIOS_OF_TWO, 1),
             lambda fam: fptas_regret_discrete(fam, TWO_SCENARIOS_OF_TWO, 1),
         ],
@@ -314,7 +316,7 @@ class TestSizeMismatch:
             "solve_max_min_interval", "pareto_frontier", "solve_max_min_exact",
             "solve_regret_discrete_exact", "solve_max_min_bruteforce",
             "solve_regret_discrete_bruteforce", "solve_regret_interval_exact",
-            "fptas_max_min", "fptas_regret_discrete",
+            "solve_regret_interval_bruteforce", "fptas_max_min", "fptas_regret_discrete",
         ],
     )
     def test_three_intervals_two_weights(self, call):
@@ -683,6 +685,75 @@ class TestRegretIntervalBound:
         if has_partition(values):
             assert report.regret_value * den == num
         assert max_regret_interval(fam, u, report.solution) == report
+
+
+class TestRegretIntervalWalkTables:
+    """The walk bounds each node from core._cut_tables; the reference walk
+    in oracles scans every undecided position instead.  Same bound, so the
+    same members, regret and node count."""
+
+    def assert_same_walk(self, cases):
+        for fam, u in cases:
+            assert robust._regret_interval_walk(fam, u) == oracles.ref_regret_interval_walk(
+                fam, u
+            )
+
+    def test_workload_like_ranges(self):
+        self.assert_same_walk(workload_like_ranges(65, 10))
+
+    def test_nine_value_gadgets(self):
+        self.assert_same_walk(
+            (inst.family, inst.uncertainty) for inst in nine_value_gadgets(66, 4)
+        )
+
+    def test_raised_guard_random_n30(self):
+        rng = random.Random(67)
+        cases = []
+        for _ in range(20):
+            inst = gen_random(
+                n=30,
+                model="interval",
+                w_max=rng.choice([3, 20, 1000]),
+                density=rng.choice([0.3, 0.5, 0.7]),
+                seed=rng.randrange(1 << 30),
+            )
+            cases.append((inst.family, inst.uncertainty))
+        self.assert_same_walk(cases)
+
+    def test_small_ranges_with_ties(self):
+        rng = random.Random(68)
+        self.assert_same_walk(random_small_ranges(rng, max_n=10) for _ in range(150))
+
+
+class TestRegretIntervalBruteforce:
+    def test_equals_argmin_oracle(self):
+        rng = random.Random(69)
+        cases = [random_small_ranges(rng, max_n=10) for _ in range(60)]
+        for _ in range(20):
+            inst = gen_random(
+                n=rng.randint(1, 12),
+                model="interval",
+                w_max=rng.choice([1, 6, 1000]),
+                density=rng.choice([0.0, 0.4, 0.8]),
+                seed=rng.randrange(1 << 30),
+            )
+            cases.append((inst.family, inst.uncertainty))
+        for fam, u in cases:
+            report = solve_regret_interval_bruteforce(fam, u)
+            regret, members = oracles.brute_regret_interval_argmin(fam, u.lower, u.upper)
+            assert (report.solution, report.regret_value) == (members, regret)
+            assert report == max_regret_interval(fam, u, members)
+            assert report == solve_regret_interval_exact(fam, u)
+
+    def test_guard_refuses_as_exact_does(self):
+        fam = IntervalFamily.from_pairs([(3 * i, 3 * i + 1) for i in range(6)])
+        u = IntervalUncertainty((0,) * 6, (1,) * 6)
+        message = "^family size 6 exceeds enumeration guard 5$"
+        for solve in (solve_regret_interval_exact, solve_regret_interval_bruteforce):
+            with pytest.raises(GuardError, match=message):
+                solve(fam, u, guard=5)
+        expected = RegretReport(tuple(range(1, 7)), 0, (0,) * 6)
+        assert solve_regret_interval_bruteforce(fam, u, guard=6) == expected
 
 
 class TestRegretIntervalGuard:
