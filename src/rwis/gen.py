@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, repeat
+from numbers import Real
+from operator import add
 from typing import Iterable
 
 from .core import Interval, IntervalFamily, _is_int
@@ -306,6 +308,18 @@ def gen_tight_midpoint() -> Instance:
 RANDOM_CELLS_LIMIT = 10**6
 
 
+def _below(rng: random.Random, m: int, count: int) -> list[int]:
+    """The next count values of rng.randint(0, m - 1), in order.
+
+    CPython's randint(0, m - 1) draws getrandbits(m.bit_length()) and draws
+    again while the result is >= m.  Here the draws, the rejections and the
+    count are all run by map, filter and islice in C, so the values and the
+    state rng is left in are the same, and no draw is made past the last.
+    """
+    draws = map(rng.getrandbits, repeat(m.bit_length()))
+    return list(islice(filter(m.__gt__, draws), count))
+
+
 def gen_random(
     n: int,
     model: str,
@@ -320,19 +334,25 @@ def gen_random(
     lays the intervals out pairwise disjoint by construction, density 1 packs
     every start at 0.  model "discrete" draws k scenarios of uniform weights
     in [0, w_max]; model "interval" draws a lower <= upper pair per vertex.
-    The same arguments always produce the identical instance.  Instances of
-    more than RANDOM_CELLS_LIMIT weight cells are refused before any draw.
+    The same arguments always produce the identical instance: every value is
+    the one random.Random(seed).randint would return, in the same order (per
+    vertex a start then a length, then the weights row by row, or per vertex
+    the two ends of its range).  Instances of more than RANDOM_CELLS_LIMIT
+    weight cells are refused before any draw.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if w_max < 1:
-        raise ValidationError(f"w_max must be >= 1, got {w_max}")
-    if not 0.0 <= density <= 1.0:
-        raise ValidationError(f"density must be in [0, 1], got {density}")
+    if not _is_int(n) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_int(w_max) or w_max < 1:
+        raise ValidationError(f"w_max must be an integer >= 1, got {w_max!r}")
+    if isinstance(density, bool) or not isinstance(density, Real) or not 0.0 <= density <= 1.0:
+        raise ValidationError(f"density must be a number in [0, 1], got {density!r}")
+    if seed is None or isinstance(seed, bool):
+        # None would seed from OS entropy, a bool would be written as true/false
+        raise ValidationError(f"seed must be a fixed value other than a bool, got {seed!r}")
     if model not in ("discrete", "interval"):
         raise ValidationError(f"model must be 'discrete' or 'interval', got {model!r}")
     if model == "discrete":
-        if k is None or k < 1:
+        if not _is_int(k) or k < 1:
             raise ValidationError(f"discrete model needs k >= 1 scenarios, got {k!r}")
     elif k is not None:
         raise ValidationError("k only applies to the discrete model")
@@ -343,36 +363,38 @@ def gen_random(
         )
     rng = random.Random(seed)
     span = 4 * n
-    los: list[int] = []
-    his: list[int] = []
     if density == 0.0:
         # one interval per window [4i, 4i+3]; windows never touch
-        for i in range(n):
-            lo = 4 * i + rng.randint(0, 1)
-            los.append(lo)
-            his.append(lo + rng.randint(0, 1))
+        draws = _below(rng, 2, 2 * n)
+        los = list(map(add, range(0, span, 4), draws[0::2]))
+        his = list(map(add, los, draws[1::2]))
     else:
         max_lo = max(0, round((span - 2) * (1.0 - density)))
         max_len = 2 + round(4 * density)
+        # starts and lengths alternate between two moduli, so each is drawn
+        # here under _below's rule, one value at a time
+        bits = rng.getrandbits
+        m_lo, m_len = max_lo + 1, max_len + 1
+        k_lo, k_len = m_lo.bit_length(), m_len.bit_length()
+        los = []
+        his = []
         for _ in range(n):
-            lo = rng.randint(0, max_lo)
+            lo = bits(k_lo)
+            while lo >= m_lo:
+                lo = bits(k_lo)
+            length = bits(k_len)
+            while length >= m_len:
+                length = bits(k_len)
             los.append(lo)
-            his.append(min(lo + rng.randint(0, max_len), span))
+            his.append(min(lo + length, span))
     if model == "discrete":
         uncertainty: DiscreteScenarioSet | IntervalUncertainty = DiscreteScenarioSet(
-            tuple(
-                tuple(rng.randint(0, w_max) for _ in range(n)) for _ in range(k)
-            )
+            tuple(tuple(_below(rng, w_max + 1, n)) for _ in range(k))
         )
     else:
-        lower = []
-        upper = []
-        for _ in range(n):
-            a = rng.randint(0, w_max)
-            b = rng.randint(0, w_max)
-            lower.append(min(a, b))
-            upper.append(max(a, b))
-        uncertainty = IntervalUncertainty(tuple(lower), tuple(upper))
+        ends = _below(rng, w_max + 1, 2 * n)
+        a, b = ends[0::2], ends[1::2]
+        uncertainty = IntervalUncertainty(tuple(map(min, a, b)), tuple(map(max, a, b)))
     return Instance(
         family=IntervalFamily._from_columns(los, his),
         uncertainty=uncertainty,

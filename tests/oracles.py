@@ -445,3 +445,63 @@ def ref_regret_interval_walk(fam, u):
         best[pos + 1] = max(best[pos], best[preds[pos]] + low[pos])
         pos += 1
     return best_members, best_regret, nodes
+
+
+# Reference random generator: gen.gen_random as it was when it drew every
+# value with random.randint, kept to check that the getrandbits draws give
+# the same instances.  It skips gen_random's argument checks.
+
+
+def ref_gen_random(n, model, w_max, density, seed, k=None):
+    """The instance gen_random(n, model, w_max, density, seed, k) returns."""
+    import random
+
+    from rwis import (
+        DiscreteScenarioSet, Instance, Interval, IntervalFamily, IntervalUncertainty,
+    )
+
+    rng = random.Random(seed)
+    span = 4 * n
+    los = []
+    his = []
+    if density == 0.0:
+        for i in range(n):
+            lo = 4 * i + rng.randint(0, 1)
+            los.append(lo)
+            his.append(lo + rng.randint(0, 1))
+    else:
+        max_lo = max(0, round((span - 2) * (1.0 - density)))
+        max_len = 2 + round(4 * density)
+        for _ in range(n):
+            lo = rng.randint(0, max_lo)
+            los.append(lo)
+            his.append(min(lo + rng.randint(0, max_len), span))
+    if model == "discrete":
+        uncertainty = DiscreteScenarioSet(
+            tuple(
+                tuple(rng.randint(0, w_max) for _ in range(n)) for _ in range(k)
+            )
+        )
+    else:
+        lower = []
+        upper = []
+        for _ in range(n):
+            a = rng.randint(0, w_max)
+            b = rng.randint(0, w_max)
+            lower.append(min(a, b))
+            upper.append(max(a, b))
+        uncertainty = IntervalUncertainty(tuple(lower), tuple(upper))
+    return Instance(
+        family=IntervalFamily(tuple(map(Interval, los, his))),
+        uncertainty=uncertainty,
+        scaling_factor=1,
+        metadata={
+            "generator": "random",
+            "n": n,
+            "model": model,
+            "k": k,
+            "w_max": w_max,
+            "density": density,
+            "seed": seed,
+        },
+    )

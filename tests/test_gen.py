@@ -27,6 +27,8 @@ from rwis import (
     vertex_cover_number,
 )
 from rwis import gen
+
+import oracles
 from rwis.gen import (
     PARTITION_TOTAL_LIMIT,
     RANDOM_CELLS_LIMIT,
@@ -366,6 +368,18 @@ class TestRandomGenerator:
             dict(n=3, model="interval", w_max=0, density=0.5, seed=0),
             dict(n=3, model="interval", w_max=5, density=1.5, seed=0),
             dict(n=3, model="nope", w_max=5, density=0.5, seed=0),
+            # types are checked before anything is drawn: bools and floats
+            # for counts, a bool or str density, a bool seed and the OS-entropy seed None
+            dict(n=True, model="interval", w_max=5, density=0.5, seed=0),
+            dict(n=3.0, model="interval", w_max=5, density=0.5, seed=0),
+            dict(n=3, model="interval", w_max=True, density=0.5, seed=0),
+            dict(n=3, model="interval", w_max=2.5, density=0.5, seed=0),
+            dict(n=3, model="discrete", k=True, w_max=5, density=0.5, seed=0),
+            dict(n=3, model="discrete", k=2.0, w_max=5, density=0.5, seed=0),
+            dict(n=3, model="interval", w_max=5, density=True, seed=0),
+            dict(n=3, model="interval", w_max=5, density="0.5", seed=0),
+            dict(n=3, model="interval", w_max=5, density=0.5, seed=None),
+            dict(n=3, model="interval", w_max=5, density=0.5, seed=True),
         ],
     )
     def test_parameter_validation(self, kwargs):
@@ -413,6 +427,14 @@ PINNED_RANDOM = {
     "discrete-k3-n26": (
         dict(n=26, model="discrete", k=3, w_max=20, density=0.5, seed=3),
         "be854e046ec1c2d4a79acd2ff5e4bc91ef22ee9a0ee6ba857b1e96613b8f4f03"),
+    # weights of 41 bits: each draw takes two 32-bit words
+    "interval-n30-wmax2pow40": (
+        dict(n=30, model="interval", w_max=2**40, density=0.5, seed=13),
+        "5388fcb098c1042c0671c043933bffc7f99e9c1ae28de0b764c9b6c8fdc8b55c"),
+    # the smallest draws: one scenario of 0/1 weights, disjoint windows
+    "discrete-k1-wmax1-density0": (
+        dict(n=30, model="discrete", k=1, w_max=1, density=0.0, seed=5),
+        "fc92def1eeec752d0f4fbf04592e4db3af8769157ac9cb3b287d8b9bba5cb84c"),
 }
 
 
@@ -421,3 +443,35 @@ def test_random_instance_bytes_are_pinned(case):
     kwargs, digest = PINNED_RANDOM[case]
     text = dumps_instance(gen_random(**kwargs))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# moduli at and around the bit-length steps, so that rejections, draws of
+# one bit and draws of several 32-bit words are all covered
+DRAW_MODULI = (1, 2, 3, 7, 8, 9, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 10**6 + 1, 2**64 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 5])
+def test_draws_equal_randint(seed):
+    # runs of one modulus in a shuffled order: runs of one draw alternate
+    # moduli as a start and a length do, longer runs are weight rows
+    rng = random.Random(seed)
+    ref = random.Random(seed)
+    runs = [(m, count) for m in DRAW_MODULI for count in (1, 2, 5, 40)]
+    random.Random(seed + 1).shuffle(runs)
+    for m, count in runs:
+        assert gen._below(rng, m, count) == [ref.randint(0, m - 1) for _ in range(count)]
+    # both took the same number of 32-bit words, so their next draws agree
+    assert rng.getstate() == ref.getstate()
+
+
+def test_generator_equals_randint_reference():
+    grid = random.Random(18)
+    for model, ks in (("discrete", range(1, 6)), ("interval", (None,))):
+        for k in ks:
+            for n in range(1, 61):
+                for density in (0.0, 1.0, grid.random()):
+                    for w_max in (1, 20, 10**6, 2**40):
+                        kwargs = dict(n=n, model=model, k=k, w_max=w_max,
+                                      density=density, seed=grid.randrange(1 << 30))
+                        assert dumps_instance(gen_random(**kwargs)) == dumps_instance(
+                            oracles.ref_gen_random(**kwargs)), kwargs
