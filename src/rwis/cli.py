@@ -339,7 +339,7 @@ GENERATORS = {
         w_max=args.w_max,
         density=args.density,
         seed=args.seed,
-        k=args.k if args.model == "discrete" else None,
+        k=args.k,
     )),
 }
 
@@ -534,19 +534,18 @@ def _arg(*names: str, **options) -> tuple[tuple[str, ...], dict]:
     return names, options
 
 
-_COMMON_FLAGS = (
-    _arg(
-        "--format", choices=("table", "delimited"), default="table",
-        help="output layout (default: table)",
-    ),
-    _arg(
-        "--guard-n", type=int, default=None,
-        help="enumeration guard override (also via RWIS_GUARD_N)",
-    ),
-    _arg(
-        "--timings", action="store_true",
-        help="include wall-clock columns (breaks byte-for-byte reproducibility)",
-    ),
+# each listed only under the commands that read it
+_FORMAT = _arg(
+    "--format", choices=("table", "delimited"), default="table",
+    help="output layout (default: table)",
+)
+_GUARD_N = _arg(
+    "--guard-n", type=int, default=None,
+    help="enumeration guard override (also via RWIS_GUARD_N)",
+)
+_TIMINGS = _arg(
+    "--timings", action="store_true",
+    help="include wall-clock columns (breaks byte-for-byte reproducibility)",
 )
 
 # name -> Command, in the order `rwis --help` lists them
@@ -559,14 +558,14 @@ COMMANDS = {
              help="accuracy parameter for fptas"),
         _arg("--adversarial-ties", action="store_true",
              help="explore surrogate ties and report the worst one"),
-        *_COMMON_FLAGS,
+        _FORMAT, _GUARD_N, _TIMINGS,
     ), cmd_solve),
     "evaluate": Command("evaluate a given solution on an instance", (
         _arg("instance"),
         _arg("--problem", choices=PROBLEMS, required=True),
         _arg("--solution", required=True,
              help="comma-separated 1-based vertex indices; '-' for the empty set"),
-        *_COMMON_FLAGS,
+        _FORMAT,
     ), cmd_evaluate),
     "generate": Command("write an instance file", (
         _arg("--kind", required=True, choices=tuple(GENERATORS)),
@@ -581,7 +580,6 @@ COMMANDS = {
         _arg("--w-max", type=int, default=10),
         _arg("--density", type=float, default=0.5),
         _arg("--seed", type=int, default=0),
-        *_COMMON_FLAGS,
     ), cmd_generate),
     "bench": Command("run algorithms over a directory of instances", (
         _arg("instances", help="directory of *.json instance files"),
@@ -590,11 +588,10 @@ COMMANDS = {
         _arg("--epsilon", type=_epsilon_arg, default=None),
         _arg("--adversarial-ties", action="store_true"),
         _arg("--out", default=None, help="also write a tab-delimited file"),
-        *_COMMON_FLAGS,
+        _FORMAT, _GUARD_N, _TIMINGS,
     ), cmd_bench),
     "selfcheck": Command("run the built-in oracle-equivalence suite", (
         _arg("--seed", type=int, default=None),
-        *_COMMON_FLAGS,
     ), cmd_selfcheck),
 }
 

@@ -286,6 +286,28 @@ def _completions(
     return first, rest
 
 
+def _staircase_add(xs: list[int], ys: list[int], x: int, y: int) -> bool:
+    """Add (x, y) to the 2-D maxima staircase (xs ascending, ys descending)
+    unless a step (x', y') with x' >= x and y' >= y dominates it; the steps
+    it dominates are dropped, so of equal pairs the first stays.  Returns
+    whether (x, y) was kept.
+
+    The first step with x' >= x has the largest y' of those steps, so one
+    comparison decides; the steps it dominates are that step when x' == x
+    and the run just left of it with y' <= y.
+    """
+    i = bisect_left(xs, x)
+    if i < len(xs) and ys[i] >= y:
+        return False
+    lo = i
+    while lo and ys[lo - 1] <= y:
+        lo -= 1
+    hi = i + 1 if i < len(xs) and xs[i] == x else i
+    xs[lo:hi] = (x,)
+    ys[lo:hi] = (y,)
+    return True
+
+
 def _cut_tables(
     preds: Sequence[int], first: Sequence[int]
 ) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
@@ -323,14 +345,7 @@ def _cut_tables(
             qs.pop()
             gs.pop()
         if q < pos and g > top:
-            i = bisect_left(qs, q)
-            if i == len(qs) or gs[i] < g:  # not dominated by a q' >= q
-                lo = i
-                while lo and gs[lo - 1] <= g:
-                    lo -= 1
-                hi = i + 1 if i < len(qs) and qs[i] == q else i
-                qs[lo:hi] = (q,)
-                gs[lo:hi] = (g,)
+            _staircase_add(qs, gs, q, g)
         high[pos] = top
         cuts[pos] = tuple(zip(qs, gs))
     return high, cuts

@@ -222,7 +222,7 @@ def gen_partition(p: PartitionInput) -> Instance:
     values = p.values
     exists = has_partition(values)
     n = len(values)
-    total = sum(values)  # 2b, so scaled 3b == 3*total//... kept as 3*total/2
+    total = sum(values)  # 2b: 3b is 3*total/2, so 3b scaled by 2 is 3*total
     intervals: list[Interval] = []
     lower: list[int] = []
     upper: list[int] = []

@@ -9,12 +9,10 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from math import inf
 from operator import add, and_, lshift, or_, sub
 from typing import Callable, Iterable, Sequence
 
@@ -210,25 +208,16 @@ def _pareto_max(vecs: list[int], merged: list[int], k: int, bits: int):
                 kept.append(v)
                 kept_idx.append(j)
     elif k == 3:
-        # (y, z) staircase of the kept vectors, y ascending and z descending;
-        # the last step (inf, -1) is found by every query and dominates nothing
-        ys: list[float] = [inf]
-        zs = [-1]
+        # (y, z) staircase of the kept vectors: the first field is at least
+        # as large in every earlier vector, so only the last two decide
+        ys: list[int] = []
+        zs: list[int] = []
+        add_step = core._staircase_add
         for j in merged:
             v = vecs[j]
-            y = (v >> bits) & mask
-            z = v & mask
-            i = bisect_left(ys, y)
-            if zs[i] >= z:
-                continue
-            lo = i
-            while lo and zs[lo - 1] <= z:
-                lo -= 1
-            hi = i + 1 if ys[i] == y else i
-            ys[lo:hi] = (y,)
-            zs[lo:hi] = (z,)
-            kept.append(v)
-            kept_idx.append(j)
+            if add_step(ys, zs, (v >> bits) & mask, v & mask):
+                kept.append(v)
+                kept_idx.append(j)
     else:
         # u >= v in every field exactly when (u | H) - v keeps every guard
         # bit of H: each field then holds 2^(bits-1) + u_i - v_i >= 0, so no
@@ -247,7 +236,7 @@ def _pareto_max(vecs: list[int], merged: list[int], k: int, bits: int):
 def _frontier_levels(
     fam: IntervalFamily,
     columns: Sequence[Sequence[int]],
-    cap: int,
+    cap: int | None,
     sat: int | None = None,
 ):
     """Run the frontier DP; keep every level for witness backtracking.
@@ -257,8 +246,9 @@ def _frontier_levels(
     saturate at that value per coordinate, and the DP stops at the first
     level that is the lone vector (sat, ..., sat): every later level would
     repeat it as a skip, so the last level returned is the final one and
-    backtracking starts there.  Returns (levels, order, preds, bits);
-    _unpack(v, K, bits) decodes a vector.
+    backtracking starts there.  `cap` goes through resolve_frontier_cap
+    here, the one place every frontier solver reaches.  Returns (levels,
+    order, preds, bits); _unpack(v, K, bits) decodes a vector.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -286,6 +276,7 @@ def _frontier_levels(
     make equal vectors, which the same sort handles: equal takes keep the
     order of their parents, and the earliest parent wins.
     """
+    cap = resolve_frontier_cap(cap)
     order, preds = core._prepared(fam)
     k = len(columns)
     bits = _field_bits(columns, sat)
@@ -330,7 +321,7 @@ def _frontier_levels(
 def _frontier_best(
     fam: IntervalFamily,
     columns: Sequence[Sequence[int]],
-    cap: int,
+    cap: int | None,
     score: Callable[[tuple[int, ...]], int],
     sat: int | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -378,7 +369,7 @@ def pareto_frontier(
     estimated a priori.
     """
     _require_same_size(fam, scen.n)
-    levels, _, _, bits = _frontier_levels(fam, scen.scenarios, resolve_frontier_cap(cap))
+    levels, _, _, bits = _frontier_levels(fam, scen.scenarios, cap)
     return ParetoFrontier(
         k=scen.k, vectors=frozenset(_unpack(v, scen.k, bits) for v in levels[-1][0])
     )
@@ -395,9 +386,7 @@ def solve_max_min_exact(
     prefer skipping later intervals).
     """
     _require_same_size(fam, scen.n)
-    members, vec = _frontier_best(
-        fam, scen.scenarios, resolve_frontier_cap(cap), _neg_min
-    )
+    members, vec = _frontier_best(fam, scen.scenarios, cap, _neg_min)
     return members, min(vec)
 
 
@@ -412,9 +401,7 @@ def solve_regret_discrete_exact(
     """
     _require_same_size(fam, scen.n)
     consts = _optima(fam, scen)
-    members, vec = _frontier_best(
-        fam, scen.scenarios, resolve_frontier_cap(cap), _regret_score(consts)
-    )
+    members, vec = _frontier_best(fam, scen.scenarios, cap, _regret_score(consts))
     return _regret_report(scen, consts, members, vec)
 
 
@@ -618,7 +605,6 @@ def fptas_max_min(
         return best_members, best_value
     sat_num = 2 * n * (1 + e) / e
     sat = -((-sat_num.numerator) // sat_num.denominator)
-    cap_val = resolve_frontier_cap(cap)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
     trial = ub
     previous = None
@@ -629,7 +615,7 @@ def fptas_max_min(
         cut = -(-sat * num // den)
         scaled = [[w * den // num if w < cut else sat for w in s] for s in scen.scenarios]
         if scaled != previous:
-            members, _ = _frontier_best(fam, scaled, cap_val, _neg_min, sat=sat)
+            members, _ = _frontier_best(fam, scaled, cap, _neg_min, sat=sat)
             value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
             if value > best_value:
                 best_value = value
@@ -670,7 +656,5 @@ def fptas_regret_discrete(
     num, den = t.numerator, t.denominator
     scaled_consts = [-(-c * den // num) for c in consts]
     scaled = [[w * den // num for w in s] for s in scen.scenarios]
-    members, _ = _frontier_best(
-        fam, scaled, resolve_frontier_cap(cap), _regret_score(scaled_consts)
-    )
+    members, _ = _frontier_best(fam, scaled, cap, _regret_score(scaled_consts))
     return _regret_report(scen, consts, members)

@@ -505,3 +505,15 @@ def ref_gen_random(n, model, w_max, density, seed, k=None):
             "seed": seed,
         },
     )
+
+
+def maxima_2d(pairs):
+    """Indices of the 2-D maxima of pairs: no other pair is >= in both
+    coordinates, except an equal pair, of which the first is kept."""
+    return [
+        i for i, (x, y) in enumerate(pairs)
+        if not any(
+            px >= x and py >= y and ((px, py) != (x, y) or j < i)
+            for j, (px, py) in enumerate(pairs)
+        )
+    ]

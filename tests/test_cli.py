@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import itertools
@@ -715,6 +716,8 @@ GENERATE_REFUSALS = [
     ("random-without-n", ["random", "--model", "interval"], "random needs --n and --model"),
     ("random-without-model", ["random", "--n", "4"], "random needs --n and --model"),
     ("random-without-n-and-model", ["random"], "random needs --n and --model"),
+    ("random-interval-with-k", ["random", "--n", "4", "--model", "interval", "--k", "3"],
+     "k only applies to the discrete model"),
     ("vertex-cover-bad-edge", ["vertex-cover", "--n-vertices", "3", "--edges", "x",
                                "--cover-size", "1"],
      "bad edge 'x'; expected 'u-v' pairs like '1-2,2-3'"),
@@ -727,8 +730,6 @@ usage: rwis generate [-h] --kind
                      [--cover-size COVER_SIZE] [--values VALUES] [--k K]
                      [--n N] [--model {discrete,interval}] [--w-max W_MAX]
                      [--density DENSITY] [--seed SEED]
-                     [--format {table,delimited}] [--guard-n GUARD_N]
-                     [--timings]
 
 options:
   -h, --help            show this help message and exit
@@ -746,11 +747,6 @@ options:
   --w-max W_MAX
   --density DENSITY
   --seed SEED
-  --format {table,delimited}
-                        output layout (default: table)
-  --guard-n GUARD_N     enumeration guard override (also via RWIS_GUARD_N)
-  --timings             include wall-clock columns (breaks byte-for-byte
-                        reproducibility)
 """
 
 
@@ -1150,3 +1146,84 @@ class TestParserPerProcess:
             assert got == expected
             codes.append(got[0])
         assert codes == [0] * (len(self.SOLVES) + len(cli.COMMANDS)) + [2] * len(cli.COMMANDS)
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A Namespace that notes the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# command -> minimal valid command lines that, together, take every branch
+# that reads an option; {out} is a path to write, {dir} a directory of instances
+READ_BY = {
+    "solve": [["solve", TIGHT_K2, "--problem", "regret", "--algorithm", "exact"]],
+    "evaluate": [["evaluate", TIGHT_K2, "--problem", "regret", "--solution", "1"]],
+    "generate": [
+        ["generate", "--kind", kind, "--out", "{out}", *rest]
+        for kind, rest in (
+            ("vertex-cover", [p for pair in VERTEX_COVER_FLAGS.items() for p in pair]),
+            ("partition", ["--values", "2,2,1,3"]),
+            ("tight-k", ["--k", "2"]),
+            ("tight-midpoint", []),
+            ("random", ["--n", "4", "--model", "discrete", "--k", "2"]),
+        )
+    ],
+    "bench": [["bench", "{dir}", "--problem", "regret", "--algorithms", "exact"]],
+    "selfcheck": [["selfcheck"]],
+}
+
+# (command, the flag and its value) each command refuses: it never read them
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        ("generate", (["--format", "table"], ["--guard-n", "3"], ["--timings"])),
+        ("selfcheck", (["--format", "table"], ["--guard-n", "3"], ["--timings"])),
+        ("evaluate", (["--guard-n", "3"], ["--timings"])),
+    )
+    for flag in flags
+]
+
+
+class TestEveryOptionIsRead:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_the_handler_reads_every_option_its_parser_defines(
+        self, capsys, tmp_path, command
+    ):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "tight_k2.json").write_bytes(Path(TIGHT_K2).read_bytes())
+        defined, reads = set(), set()
+        for argv in READ_BY[command]:
+            argv = [a.format(out=tmp_path / "g.json", dir=tmp_path / "in") for a in argv]
+            args = cli._parser(command).parse_args(argv[1:])
+            recording = RecordingNamespace(**vars(args))
+            assert args.func(recording) == 0
+            defined |= set(vars(args)) - {"func", "command"}
+            reads |= recording._reads
+        capsys.readouterr()
+        assert defined <= reads, sorted(defined - reads)
+
+    @pytest.mark.parametrize(
+        "command, flag", REMOVED_FLAGS,
+        ids=[f"{command}{flag[0]}" for command, flag in REMOVED_FLAGS],
+    )
+    def test_an_option_the_command_does_not_read_is_a_usage_error(
+        self, capsys, tmp_path, command, flag
+    ):
+        target = tmp_path / "g.json"
+        argv = {
+            "generate": ["generate", "--kind", "tight-midpoint", "--out", str(target)],
+            "selfcheck": ["selfcheck"],
+            "evaluate": READ_BY["evaluate"][0],
+        }[command]
+        code, out, err = ran(capsys, [*argv, *flag])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"rwis: error: unrecognized arguments: {' '.join(flag)}\n")
+        assert not target.exists()

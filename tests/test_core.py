@@ -465,6 +465,19 @@ def cut_table_inputs(draw, max_n=14):
     return preds, first, best
 
 
+class TestStaircaseAdd:
+    @given(st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_maxima_after_every_insert(self, pairs):
+        xs, ys = [], []
+        for i, (x, y) in enumerate(pairs):
+            kept = core._staircase_add(xs, ys, x, y)
+            maxima = oracles.maxima_2d(pairs[: i + 1])
+            assert kept == (i in maxima)
+            # the maxima have distinct x, so sorting lays out the staircase
+            assert list(zip(xs, ys)) == sorted(pairs[j] for j in maxima)
+
+
 class TestCutTables:
     @given(cut_table_inputs())
     @settings(max_examples=300, deadline=None)
