@@ -9,11 +9,12 @@ reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add, and_, lshift, or_, sub
+from operator import add, and_, lshift, neg, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from . import core, scenarios
@@ -151,12 +152,11 @@ def solve_max_min_interval(
 # Pareto-frontier dynamic program
 #
 # Level pos lists the Pareto-maximal weight vectors achievable with the first
-# pos intervals in right-endpoint order, in descending lexicographic order,
-# next to a parallel list of provenances.  A provenance j indexes level pos-1
-# followed by level p(pos) shifted by interval pos's weights: j below the
-# length of level pos-1 means "skip interval pos" and keeps that vector; any
-# other j means "take interval pos" on top of vector j - len(level pos-1) of
-# level p(pos).
+# pos intervals in right-endpoint order, in descending lexicographic order, and
+# nothing else: no provenance is stored.  A kept vector's parent follows from
+# its value (see _frontier_best): it skips interval pos when it is also in
+# level pos-1, and otherwise it takes interval pos on top of the first vector
+# of level p(pos) that the shift by interval pos's weights maps onto it.
 #
 # A vector (x_1, ..., x_K) is stored as one int: K fields of `bits` bits,
 # x_1 in the highest, each field's top bit a guard bit that a stored vector
@@ -185,52 +185,64 @@ def _unpack(v: int, k: int, bits: int) -> tuple[int, ...]:
     return tuple((v >> (bits * i)) & mask for i in range(k - 1, -1, -1))
 
 
-def _pareto_max(vecs: list[int], merged: list[int], k: int, bits: int):
-    """Pareto-maximal subset, under component-wise >=, of the packed vecs
-    visited in the descending lexicographic order of their indices given by
-    `merged`.
+def _saturate(vecs: list[int], sat: int, k: int, bits: int) -> list[int]:
+    """vecs with every field above sat lowered to sat, in the same order;
+    vecs itself when no field is above sat.
+
+    Adding `over`, 2^(bits-1) - 1 - sat in every field, sets a field's guard
+    bit exactly when its coordinate exceeds sat.  One OR over the list finds
+    whether any field needs saturating; m = (((x + over) & guards) >> top) *
+    mask then covers the fields of x above sat, and x ^ ((x ^ fill) & m)
+    writes sat into just those fields.
+    """
+    top = bits - 1
+    guards = _guards(k, bits)
+    ones = guards >> top
+    over = ((1 << top) - 1 - sat) * ones
+    if not reduce(or_, map(add, vecs, repeat(over))) & guards:
+        return vecs
+    fill = sat * ones
+    mask = (1 << bits) - 1
+    return [x ^ ((x ^ fill) & (((x + over) & guards) >> top) * mask) for x in vecs]
+
+
+def _pareto_max(vecs: list[int], k: int, bits: int) -> list[int]:
+    """Pareto-maximal subset, under component-wise >=, of the packed vecs,
+    given in descending order.
 
     In that order a vector can only be dominated by an earlier one, so one
     pass suffices; of equal vectors the first is kept.  Returns the kept
-    vectors and their indices, both in that order.
+    vectors in that order.
     """
     mask = (1 << bits) - 1
     kept: list[int] = []
-    kept_idx: list[int] = []
     if k <= 2:
         # staircase over the last field; at K=1 that field is the whole
         # vector, so only the first (largest) vector passes
         best_second = -1
-        for j in merged:
-            v = vecs[j]
+        for v in vecs:
             if v & mask > best_second:
                 best_second = v & mask
                 kept.append(v)
-                kept_idx.append(j)
     elif k == 3:
         # (y, z) staircase of the kept vectors: the first field is at least
         # as large in every earlier vector, so only the last two decide
         ys: list[int] = []
         zs: list[int] = []
         add_step = core._staircase_add
-        for j in merged:
-            v = vecs[j]
+        for v in vecs:
             if add_step(ys, zs, (v >> bits) & mask, v & mask):
                 kept.append(v)
-                kept_idx.append(j)
     else:
         # u >= v in every field exactly when (u | H) - v keeps every guard
         # bit of H: each field then holds 2^(bits-1) + u_i - v_i >= 0, so no
         # borrow leaves it; the kept vectors are stored with H already set
         guards = _guards(k, bits)
-        kept_h: list[int] = []
-        for j in merged:
-            v = vecs[j]
-            if guards not in map(and_, map(sub, kept_h, repeat(v)), repeat(guards)):
-                kept_h.append(v | guards)
-                kept.append(v)
-                kept_idx.append(j)
-    return kept, kept_idx
+        for v in vecs:
+            if guards not in map(and_, map(sub, kept, repeat(v)), repeat(guards)):
+                kept.append(v | guards)
+        kept = [h ^ guards for h in kept]
+    return kept
 
 
 def _frontier_levels(
@@ -242,13 +254,14 @@ def _frontier_levels(
     """Run the frontier DP; keep every level for witness backtracking.
 
     columns[k][i] is vertex i+1's weight under scenario k+1.  Level i is the
-    pair (vectors, provenances) described above.  With `sat` set, additions
-    saturate at that value per coordinate, and the DP stops at the first
-    level that is the lone vector (sat, ..., sat): every later level would
-    repeat it as a skip, so the last level returned is the final one and
-    backtracking starts there.  `cap` goes through resolve_frontier_cap
+    descending list of packed vectors described above.  With `sat` set,
+    additions saturate at that value per coordinate, and the DP stops at the
+    first level that is the lone vector (sat, ..., sat): every later level
+    would repeat it as a skip, so the last level returned is the final one
+    and backtracking starts there.  `cap` goes through resolve_frontier_cap
     here, the one place every frontier solver reaches.  Returns (levels,
-    order, preds, bits); _unpack(v, K, bits) decodes a vector.
+    order, preds, bits, packed), packed[i] being vertex i+1's packed weight
+    vector; _unpack(v, K, bits) decodes a vector.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -262,19 +275,20 @@ def _frontier_levels(
     - adding the packed weight vector adds every coordinate at once: each
       field's sum is a coordinate the DP forms, below 2^(bits-1), so no
       carry crosses into the next field;
-    - adding `over`, 2^(bits-1) - 1 - sat in every field, sets a field's
-      guard bit exactly when its coordinate exceeds sat, and a field then
-      holds less than 2^bits, so again nothing crosses.  One OR over the
-      shifted level finds whether any field needs saturating, and a masked
-      fix-up writes sat into just those fields.
-    The levels, their order, the provenances and every tie-break are thus
-    those of the same DP run on tuples of ints.
+    - _saturate's guard-bit test and fix-up stay inside each field: a field
+      plus `over` holds less than 2^bits.
+    The levels and their order are thus those of the same DP run on tuples
+    of ints.  A level is the Pareto maximum of level pos-1 and the shifted
+    level p(pos), sorted as plain ints: both are descending runs unless
+    saturation reorders the second, so the sort is mostly a linear merge.
+    Which copy of an equal vector is kept does not change the level, so no
+    provenance is tracked here.
 
-    Both candidate lists are descending, so the stable sort of their
-    concatenation is a linear-time merge of two runs that puts a skip before
-    an equal take.  Saturation can break the order of the shifted list and
-    make equal vectors, which the same sort handles: equal takes keep the
-    order of their parents, and the earliest parent wins.
+    When p(pos) = pos-1 (interval pos starts after every earlier one ends)
+    and nothing saturates, the level is the shifted list itself: level pos-1
+    is an antichain, so its translate u + w is one too, and u + w >= u
+    dominates u or equals it (w = 0, where the skip keeps the same value).
+    The sort and the prune would return exactly that list.
     """
     cap = resolve_frontier_cap(cap)
     order, preds = core._prepared(fam)
@@ -283,39 +297,26 @@ def _frontier_levels(
     packed = [0] * len(fam)
     for col in columns:
         packed = list(map(add, map(lshift, packed, repeat(bits)), col))
-    levels = [([0], [0])]
-    full = None
-    if sat is not None:
-        top = bits - 1
-        mask = (1 << bits) - 1
-        guards = _guards(k, bits)
-        ones = guards >> top
-        fill = sat * ones
-        full = [fill]
-        over = ((1 << top) - 1 - sat) * ones
+    levels = [[0]]
+    full = None if sat is None else [sat * (_guards(k, bits) >> (bits - 1))]
     for pos in range(1, len(fam) + 1):
-        if levels[-1][0] == full:
-            # (sat, ..., sat) dominates every later candidate and the stable
-            # sort puts the equal skip first: every later level would be that
-            # skip, so this level is the final one
+        if levels[-1] == full:
+            # (sat, ..., sat) dominates every later candidate, and an equal
+            # skip wins over a take: every later level would be that skip,
+            # so this level is the final one
             break
-        shifted = list(map(add, levels[preds[pos - 1]][0], repeat(packed[order[pos - 1]])))
-        if sat is not None and reduce(or_, map(add, shifted, repeat(over))) & guards:
-            # m = (((x + over) & guards) >> top) * mask covers the fields of x
-            # above sat, and x ^ ((x ^ fill) & m) writes sat into them
-            shifted = [
-                x ^ ((x ^ fill) & (((x + over) & guards) >> top) * mask)
-                for x in shifted
-            ]
-        cand = levels[pos - 1][0] + shifted
-        merged = sorted(range(len(cand)), key=cand.__getitem__, reverse=True)
-        vecs, provs = _pareto_max(cand, merged, k, bits)
+        pred = preds[pos - 1]
+        shifted = list(map(add, levels[pred], repeat(packed[order[pos - 1]])))
+        vecs = shifted if sat is None else _saturate(shifted, sat, k, bits)
+        if pred < pos - 1 or vecs is not shifted:
+            # otherwise vecs is level pos-1 shifted and unsaturated: the level
+            vecs = _pareto_max(sorted(levels[pos - 1] + vecs, reverse=True), k, bits)
         if len(vecs) > cap:
             raise FrontierCapError(
                 f"frontier size {len(vecs)} exceeds cap {cap} at interval {pos}"
             )
-        levels.append((vecs, provs))
-    return levels, order, preds, bits
+        levels.append(vecs)
+    return levels, order, preds, bits, packed
 
 
 def _frontier_best(
@@ -329,23 +330,48 @@ def _frontier_best(
 
     Ties on the score go to the lexicographically smallest vector, and equal
     vectors prefer skipping later intervals.  Returns (members, vector).
+
+    Backtracking by value.  The witness is the one a DP with stored parents
+    would give under the rule "skip wins, then the first parent in level
+    order" (the tie-break of a stable descending sort of level pos-1
+    followed by the shifted level p(pos)).  At position pos with vector v:
+    - if v is in level pos-1 (a bisection of that descending list), the
+      skip candidate equal to v came first, so v skips interval pos;
+    - otherwise v takes interval pos.  Its parents are the u in level p(pos)
+      whose shift equals v.  Without sat the shift u + w is one-to-one, so
+      the parent is v - w.  With sat, a field of v below sat was not
+      saturated, so it fixes u's field as v_i - w_i; only a field equal to
+      sat leaves a choice.  If v has no such field the parent is again
+      v - w; otherwise it is the first u in level order whose saturated
+      shift is v, found by recomputing that shifted level.  The test "some
+      field equals sat" is one add and mask: with `reach` holding
+      2^(bits-1) - sat in every field, v + reach sets a field's guard bit
+      exactly when that field is sat, as no stored field exceeds sat.
+      Without sat, reach is 0 and a stored vector has no guard bit set.
     """
-    levels, order, preds, bits = _frontier_levels(fam, columns, cap, sat)
+    levels, order, preds, bits, packed = _frontier_levels(fam, columns, cap, sat)
     k = len(columns)
-    final = [_unpack(v, k, bits) for v in levels[-1][0]]
+    final = [_unpack(v, k, bits) for v in levels[-1]]
     vec = min(reversed(final), key=score)  # ascending: ties go to the smallest
-    j = final.index(vec)
+    v = levels[-1][final.index(vec)]
+    guards = _guards(k, bits)
+    reach = 0 if sat is None else ((1 << (bits - 1)) - sat) * (guards >> (bits - 1))
     pos = len(levels) - 1
     members: list[int] = []
     while pos > 0:
-        j = levels[pos][1][j]
-        skipped = len(levels[pos - 1][0])
-        if j < skipped:
+        skipped = levels[pos - 1]
+        i = bisect_left(skipped, -v, key=neg)
+        if i < len(skipped) and skipped[i] == v:
             pos -= 1
+            continue
+        w = packed[order[pos - 1]]
+        members.append(order[pos - 1] + 1)
+        pos = preds[pos - 1]
+        if (v + reach) & guards:
+            parents = levels[pos]
+            v = parents[_saturate([u + w for u in parents], sat, k, bits).index(v)]
         else:
-            members.append(order[pos - 1] + 1)
-            j -= skipped
-            pos = preds[pos - 1]
+            v -= w
     return tuple(sorted(members)), vec
 
 
@@ -369,9 +395,9 @@ def pareto_frontier(
     estimated a priori.
     """
     _require_same_size(fam, scen.n)
-    levels, _, _, bits = _frontier_levels(fam, scen.scenarios, cap)
+    levels, _, _, bits, _ = _frontier_levels(fam, scen.scenarios, cap)
     return ParetoFrontier(
-        k=scen.k, vectors=frozenset(_unpack(v, scen.k, bits) for v in levels[-1][0])
+        k=scen.k, vectors=frozenset(_unpack(v, scen.k, bits) for v in levels[-1])
     )
 
 
@@ -594,6 +620,16 @@ def fptas_max_min(
     whose scaled matrix equals the previous one repeats its run exactly and
     is skipped, and the ladder ends at the limit matrix (every nonzero weight
     at C), which every later rung would repeat.
+
+    It also ends after the first rung where the first interval in
+    right-endpoint order weighs C in every scenario.  That interval has no
+    predecessor, so level 1 of the run is the lone (C, ..., C), the run
+    stops there, and its witness is that one interval.  Its scaled weights
+    stay at C on every later rung, so each later run returns the same set,
+    whose value cannot strictly beat the best one: the result is the full
+    ladder's.  Each rung's scale t = eps*V/(n(1+eps)) is kept as the int
+    pair num = p*V, den = n*(p+q) for eps = p/q; floor(w*den/num) and
+    ceil(C*num/den) do not change under a common factor of num and den.
     """
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
@@ -603,14 +639,15 @@ def fptas_max_min(
     best_value = 0
     if ub == 0 or n == 0:
         return best_members, best_value
-    sat_num = 2 * n * (1 + e) / e
-    sat = -((-sat_num.numerator) // sat_num.denominator)
+    p, q = e.numerator, e.denominator
+    den = n * (p + q)
+    sat = -(-2 * den // p)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
+    first = core._prepared(fam)[0][0]
     trial = ub
     previous = None
     while True:
-        t = e * trial / (n * (1 + e))
-        num, den = t.numerator, t.denominator
+        num = p * trial
         # w * den // num reaches sat exactly when w reaches cut
         cut = -(-sat * num // den)
         scaled = [[w * den // num if w < cut else sat for w in s] for s in scen.scenarios]
@@ -621,7 +658,7 @@ def fptas_max_min(
                 best_value = value
                 best_members = members
             previous = scaled
-        if trial == 1 or scaled == limit:
+        if trial == 1 or scaled == limit or all(s[first] == sat for s in scaled):
             break
         trial //= 2
     return best_members, best_value

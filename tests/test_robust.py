@@ -870,39 +870,60 @@ class TestFptas:
 
 def decoded_frontier_levels(fam, columns, cap, sat=None):
     """robust._frontier_levels with every packed vector decoded to its tuple."""
-    levels, order, preds, bits = robust._frontier_levels(fam, columns, cap, sat=sat)
+    levels, order, preds, bits, packed = robust._frontier_levels(fam, columns, cap, sat=sat)
     k = len(columns)
-    decoded = [([robust._unpack(v, k, bits) for v in vecs], provs) for vecs, provs in levels]
-    return decoded, order, preds
+    assert [robust._unpack(w, k, bits) for w in packed] == list(zip(*columns))
+    return [[robust._unpack(v, k, bits) for v in vecs] for vecs in levels], order, preds
 
 
-def levels_as_reference(levels, preds):
-    """The engine's (vectors, provenances) levels in the reference DP's form:
-    one dict per level, vector -> None (skip) or parent vector (take)."""
-    out = []
-    for pos, (vecs, provs) in enumerate(levels):
-        if pos == 0:
-            out.append({vecs[0]: None})
-            continue
-        skipped = levels[pos - 1][0]
-        parents = levels[preds[pos - 1]][0]
-        out.append({
-            v: None if j < len(skipped) else parents[j - len(skipped)]
-            for v, j in zip(vecs, provs)
-        })
+def levels_as_reference(levels, order, preds, columns, sat):
+    """The engine's levels in the reference DP's form: one dict per level,
+    vector -> None (skip) or parent vector (take), each parent derived by
+    the engine's value rule.  A vector also in level pos-1 skips.  A take
+    with no field at sat has the parent v - w, which must be in level p(pos);
+    any other take has the first vector of level p(pos) whose saturated
+    shift by w is v."""
+    out = [dict.fromkeys(levels[0])]
+    for pos in range(1, len(levels)):
+        w = tuple(col[order[pos - 1]] for col in columns)
+        parents = levels[preds[pos - 1]]
+        level = {}
+        for v in levels[pos]:
+            if v in levels[pos - 1]:
+                level[v] = None
+            elif sat is None or sat not in v:
+                level[v] = tuple(a - b for a, b in zip(v, w))
+                assert level[v] in parents
+            else:
+                shifted = [tuple(min(a + b, sat) for a, b in zip(u, w)) for u in parents]
+                level[v] = parents[shifted.index(v)]
+        out.append(level)
     return out
 
 
-def assert_reference_prefix(levels, preds, ref, k, sat):
+def assert_reference_prefix(levels, order, preds, columns, ref, sat):
     """The engine's levels equal the reference DP's first levels, in order
     and provenance.  The engine stops at its first level that is the lone
     vector (sat, ..., sat), and every reference level after that is the
     same vector as a skip."""
-    got = levels_as_reference(levels, preds)
+    got = levels_as_reference(levels, order, preds, columns, sat)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in ref[: len(got)]]
-    full = (sat,) * k
+    full = (sat,) * len(columns)
     assert all(list(d) != [full] for d in got[:-1])
     assert all(d == {full: None} for d in ref[len(got):])
+
+
+def ladder_runs(rungs, sat, first):
+    """The frontier runs fptas_max_min makes on a ladder: its distinct rungs
+    in order, up to and including the first rung whose interval `first`
+    (the first in right-endpoint order) weighs sat in every scenario."""
+    runs = []
+    for rung in rungs:
+        if not runs or rung != runs[-1]:
+            runs.append(rung)
+        if all(s[first] == sat for s in rung):
+            break
+    return runs
 
 
 def saturated_take_ties(fam, columns, sat):
@@ -931,7 +952,7 @@ class TestFrontierEngine:
                 assert set(front.vectors) == oracles.pareto_max_of_sets(fam, scen.scenarios)
                 sat = rng.randint(1, 12)
                 levels, _, _ = decoded_frontier_levels(fam, scen.scenarios, 10**6, sat=sat)
-                assert set(levels[-1][0]) == oracles.pareto_max_of_sets(
+                assert set(levels[-1]) == oracles.pareto_max_of_sets(
                     fam, scen.scenarios, sat
                 )
 
@@ -944,9 +965,9 @@ class TestFrontierEngine:
                     tuple(rng.randint(0, 5) for _ in range(scen.n)) for _ in range(k)
                 )
                 for sat in (None, rng.randint(1, 10)):
-                    levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
+                    levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
                     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-                    assert_reference_prefix(levels, preds, ref, k, sat)
+                    assert_reference_prefix(levels, order, preds, columns, ref, sat)
 
     def test_exact_solvers_match_reference_tie_breaks(self):
         rng = random.Random(4242)
@@ -984,7 +1005,55 @@ class TestFrontierEngine:
                     assert report == max_regret_discrete(fam, scen, members)
         assert ties > 0
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_witness_sums_to_the_returned_vector(self, k):
+        # the backtrack recovers parents from values alone; the members'
+        # weights summed in right-endpoint order, saturating at sat when it
+        # is set, must give back exactly the selected final vector
+        rng = random.Random(5100 + k)
+        for _ in range(25):
+            fam, scen = random_discrete(rng, max_n=12, max_k=1, w_max=1)
+            columns = tuple(
+                tuple(rng.choice((0, 1, 2, 5, 9)) for _ in range(scen.n)) for _ in range(k)
+            )
+            order = core._prepared(fam)[0]
+            for sat in (None, rng.randint(1, 12)):
+                consts = [rng.randint(0, 40) for _ in range(k)]
+                for score in (robust._neg_min, robust._regret_score(consts)):
+                    members, vec = robust._frontier_best(fam, columns, None, score, sat=sat)
+                    assert core._is_independent(fam, members)
+                    total = [0] * k
+                    for i in order:
+                        if i + 1 in members:
+                            total = [
+                                x + col[i] if sat is None else min(x + col[i], sat)
+                                for x, col in zip(total, columns)
+                            ]
+                    assert tuple(total) == vec
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_backtrack_from_every_final_vector_matches_reference(self, k):
+        # a small sat makes several parents saturate onto one vector, and the
+        # backtrack must then pick the first of them in level order
+        rng = random.Random(5200 + k)
+        ties = 0
+        for _ in range(30):
+            fam, scen = random_discrete(rng, max_n=12, max_k=1, w_max=1)
+            sat = rng.randint(1, 6)
+            columns = tuple(
+                tuple(rng.randint(0, sat + 1) for _ in range(scen.n)) for _ in range(k)
+            )
+            for s in (None, sat):
+                ref, order, preds = oracles.ref_frontier_levels(fam, columns, 10**6, sat=s)
+                for target in ref[-1]:
+                    got = robust._frontier_best(fam, columns, None, target.__ne__, sat=s)
+                    assert got == (oracles.ref_backtrack(ref, order, preds, target), target)
+            ties += saturated_take_ties(fam, columns, sat)
+        assert ties > 0 or k == 1
+
     def test_ladder_runs_once_per_distinct_scaled_matrix(self, monkeypatch):
+        # the runs are the ladder's distinct matrices in order, up to the
+        # first one whose first interval weighs sat in every scenario
         runs = []
         real = robust._frontier_levels
 
@@ -994,20 +1063,21 @@ class TestFrontierEngine:
 
         monkeypatch.setattr(robust, "_frontier_levels", counting)
         rng = random.Random(4444)
-        rungs_total = distinct_total = 0
+        rungs_total = distinct_total = runs_total = 0
         for _ in range(30):
             fam, scen = random_discrete(rng, max_n=10, max_k=2, w_max=rng.choice([5, 1000]))
             eps = rng.choice([Fraction(1, 4), Fraction(1, 2), 1])
             runs.clear()
             result = fptas_max_min(fam, scen, eps)
-            rungs, _ = oracles.ref_fptas_ladder(fam, scen, eps)
+            rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
             distinct = {tuple(map(tuple, r)) for r in rungs}
-            assert len(runs) == len(distinct)
-            assert {tuple(map(tuple, r)) for r in runs} == distinct
+            assert runs == ladder_runs(rungs, sat, core._prepared(fam)[0][0])
+            assert len(runs) == len({tuple(map(tuple, r)) for r in runs})
             assert result == oracles.ref_fptas_max_min(fam, scen, eps)
             rungs_total += len(rungs)
             distinct_total += len(distinct)
-        assert distinct_total < rungs_total  # some rungs were skipped
+            runs_total += len(runs)
+        assert runs_total < distinct_total < rungs_total  # some rungs were skipped
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_levels_after_saturation_match_reference(self, k):
@@ -1023,10 +1093,10 @@ class TestFrontierEngine:
                 tuple(rng.choice((0, 1, sat - 1, sat, sat + 2)) for _ in range(scen.n))
                 for _ in range(k)
             )
-            levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
+            levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
             ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-            assert_reference_prefix(levels, preds, ref, k, sat)
-            vecs = [v for v, _ in levels]
+            assert_reference_prefix(levels, order, preds, columns, ref, sat)
+            vecs = levels
             if [(sat,) * k] in vecs:
                 first = vecs.index([(sat,) * k])
                 early += first < len(fam)
@@ -1036,7 +1106,8 @@ class TestFrontierEngine:
     def test_fptas_on_long_ladders_matches_reference(self, monkeypatch):
         # weights up to 10**6 give ladders of about 20 rungs, most of them
         # ending at (sat, sat); the runs are the ladder's distinct matrices
-        # in order, so the ladder ends only at the limit matrix or at V = 1
+        # in order up to the first whose first interval weighs sat in every
+        # scenario, which comes before the limit matrix and V = 1 on most
         runs = []
         real = robust._frontier_levels
 
@@ -1046,7 +1117,7 @@ class TestFrontierEngine:
 
         monkeypatch.setattr(robust, "_frontier_levels", counting)
         rng = random.Random(4700)
-        ended_early = 0
+        ended_early = stopped = 0
         for _ in range(12):
             fam, scen = random_discrete(rng, max_n=9, max_k=3, w_max=10**6)
             eps = rng.choice([Fraction(1, 2), 1, 3])
@@ -1054,10 +1125,13 @@ class TestFrontierEngine:
             assert fptas_max_min(fam, scen, eps) == oracles.ref_fptas_max_min(fam, scen, eps)
             rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
             distinct = [r for i, r in enumerate(rungs) if i == 0 or r != rungs[i - 1]]
-            assert runs == distinct
+            assert runs == ladder_runs(rungs, sat, core._prepared(fam)[0][0])
+            assert runs == distinct[: len(runs)]
+            stopped += len(runs) < len(distinct)
             limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
             ended_early += limit in rungs[:-1]
         assert ended_early >= 10
+        assert stopped >= 8
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_cap_error_names_size_cap_and_interval(self, k):
@@ -1087,9 +1161,9 @@ def pack(vec, bits):
 
 
 def assert_levels_match_reference(fam, columns, sat=None):
-    levels, _, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
+    levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-    assert_reference_prefix(levels, preds, ref, len(columns), sat)
+    assert_reference_prefix(levels, order, preds, columns, ref, sat)
 
 
 class TestPackedVectors:
@@ -1113,7 +1187,7 @@ class TestPackedVectors:
         columns = ((),) * k
         for sat in (None, 3):
             levels, _, _ = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
-            assert levels == [([(0,) * k], [0])]
+            assert levels == [[(0,) * k]]
         scen = DiscreteScenarioSet(columns)
         assert pareto_frontier(fam, scen).vectors == frozenset({(0,) * k})
         assert solve_max_min_exact(fam, scen) == ((), 0)
@@ -1184,7 +1258,6 @@ class TestPackedVectors:
         vecs = [pack(first, bits), pack(second, bits)]
         assert [robust._unpack(v, k, bits) for v in vecs] == [first, second]
         # the later vector is dropped exactly when the earlier one dominates it
-        kept, kept_idx = robust._pareto_max(vecs, [0, 1], k, bits)
+        kept = robust._pareto_max(vecs, k, bits)
         dominated = all(x <= y for x, y in zip(second, first))
-        assert kept_idx == ([0] if dominated else [0, 1])
-        assert kept == vecs[: len(kept_idx)]
+        assert kept == (vecs[:1] if dominated else vecs)
