@@ -611,25 +611,29 @@ def fptas_max_min(
     """Max-min solution with value at least opt/(1+eps).
 
     Runs the frontier DP on floor-scaled weights for a geometric ladder of
-    trial bounds V = UB, UB/2, ..., 1 with step t = eps*V/(n(1+eps)), keeping
-    per-coordinate sums saturated at C = ceil(2n(1+eps)/eps) so every run
-    stays polynomial in n and 1/eps for fixed K.  For the ladder value with
-    V <= opt <= 2V the scaled optimum loses at most n*t <= eps*opt/(1+eps) in
-    original units, which yields the guarantee; the best exact value over all
-    runs is returned.  The scaled weights only grow down the ladder, so a rung
-    whose scaled matrix equals the previous one repeats its run exactly and
-    is skipped, and the ladder ends at the limit matrix (every nonzero weight
-    at C), which every later rung would repeat.
+    trial bounds V = UB, UB//2, ..., 1 with UB = max_k c_k and step
+    t = eps*V/(n(1+eps)), keeping per-coordinate sums saturated at
+    C = ceil(2n(1+eps)/eps) so every run stays polynomial in n and 1/eps for
+    fixed K.  For the ladder value with V <= opt <= 2V the scaled optimum
+    loses at most n*t <= eps*opt/(1+eps) in original units, which yields the
+    guarantee; the best exact value over the runs made is returned.  The
+    scaled weights only grow down the ladder, so a rung whose scaled matrix
+    equals the previous one repeats its run exactly and is skipped, and the
+    ladder ends at the limit matrix (every nonzero weight at C), which every
+    later rung would repeat, or at V = 1.
 
-    It also ends after the first rung where the first interval in
-    right-endpoint order weighs C in every scenario.  That interval has no
-    predecessor, so level 1 of the run is the lone (C, ..., C), the run
-    stops there, and its witness is that one interval.  Its scaled weights
-    stay at C on every later rung, so each later run returns the same set,
-    whose value cannot strictly beat the best one: the result is the full
-    ladder's.  Each rung's scale t = eps*V/(n(1+eps)) is kept as the int
-    pair num = p*V, den = n*(p+q) for eps = p/q; floor(w*den/num) and
-    ceil(C*num/den) do not change under a common factor of num and den.
+    It also ends after the first rung with V <= the best value found so far.
+    That value belongs to a real set, so it is at most opt, and the stopping
+    rung has V <= opt.  Every rung from UB down to it has run, or was skipped
+    as a repeat of the previous matrix, so the first rung with V <= opt has
+    been served.  If that rung is UB itself, V = UB >= opt; otherwise the
+    rung before it had a trial T > opt and V = T//2, so 2V >= T - 1 >= opt.
+    Either way V <= opt <= 2V there, and the guarantee holds.  The result is
+    the first best over a prefix of the full ladder's rungs, so its value is
+    never above the full ladder's and may be below it, always within the
+    (1+eps) guarantee.  Each rung's scale t = eps*V/(n(1+eps)) is kept as
+    the int pair num = p*V, den = n*(p+q) for eps = p/q; floor(w*den/num)
+    and ceil(C*num/den) do not change under a common factor of num and den.
     """
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
@@ -643,7 +647,6 @@ def fptas_max_min(
     den = n * (p + q)
     sat = -(-2 * den // p)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
-    first = core._prepared(fam)[0][0]
     trial = ub
     previous = None
     while True:
@@ -658,7 +661,7 @@ def fptas_max_min(
                 best_value = value
                 best_members = members
             previous = scaled
-        if trial == 1 or scaled == limit or all(s[first] == sat for s in scaled):
+        if trial <= best_value or trial == 1 or scaled == limit:
             break
         trial //= 2
     return best_members, best_value

@@ -323,37 +323,45 @@ def ref_regret_discrete_exact(fam, scen, cap=5_000_000):
 
 def ref_fptas_ladder(fam, scen, eps):
     """The scaled matrices of the reference max-min scheme, one per rung
-    V = UB, UB/2, ..., 1, with the saturation value C."""
+    V = UB, UB//2, ..., 1, with the saturation value C and each rung's V."""
     e = Fraction(eps)
     n = len(fam)
     ub = max(brute_opt(fam, s) for s in scen.scenarios)
     if ub == 0 or n == 0:
-        return [], None
+        return [], None, []
     sat_num = 2 * n * (1 + e) / e
     sat = -((-sat_num.numerator) // sat_num.denominator)
     rungs = []
+    trials = []
     trial = ub
     while trial >= 1:
         t = e * trial / (n * (1 + e))
         rungs.append(
             [[min((w * t.denominator) // t.numerator, sat) for w in s] for s in scen.scenarios]
         )
+        trials.append(trial)
         if trial == 1:
             break
         trial //= 2
-    return rungs, sat
+    return rungs, sat, trials
+
+
+def ref_fptas_run(fam, scen, scaled, sat, cap=5_000_000):
+    """(members, value) of one reference frontier run on a scaled matrix:
+    the set maximizing the scaled min, and its min in original weights."""
+    levels, order, preds = ref_frontier_levels(fam, scaled, cap, sat=sat)
+    vec = max(sorted(levels[-1]), key=lambda v: (min(v), tuple(-x for x in v)))
+    members = ref_backtrack(levels, order, preds, vec)
+    return members, min(sum(s[i - 1] for i in members) for s in scen.scenarios)
 
 
 def ref_fptas_max_min(fam, scen, eps, cap=5_000_000):
     """The reference max-min scheme: one frontier run on every rung."""
-    rungs, sat = ref_fptas_ladder(fam, scen, eps)
+    rungs, sat, _ = ref_fptas_ladder(fam, scen, eps)
     best_members = ()
     best_value = 0
     for scaled in rungs:
-        levels, order, preds = ref_frontier_levels(fam, scaled, cap, sat=sat)
-        vec = max(sorted(levels[-1]), key=lambda v: (min(v), tuple(-x for x in v)))
-        members = ref_backtrack(levels, order, preds, vec)
-        value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
+        members, value = ref_fptas_run(fam, scen, scaled, sat, cap)
         if value > best_value:
             best_value = value
             best_members = members

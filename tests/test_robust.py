@@ -35,6 +35,7 @@ from rwis import (
     max_regret_interval,
     opt_weight,
     pareto_frontier,
+    parse_instance,
     solve_max_min_bruteforce,
     solve_max_min_exact,
     solve_max_min_interval,
@@ -49,6 +50,7 @@ import rwis
 from rwis import approx, core, robust
 from rwis.robust import resolve_frontier_cap
 
+import golden_defs
 import oracles
 
 TWO_CLIQUE = IntervalFamily.from_pairs([(0, 1), (0, 1)])
@@ -56,6 +58,8 @@ TWO_FREE = IntervalFamily.from_pairs([(0, 1), (2, 3)])
 UNIT_SCEN = DiscreteScenarioSet(((1, 0), (0, 1)))
 THREE_CLIQUE = IntervalFamily.from_pairs([(0, 1), (0, 1), (0, 1)])
 THREE_CLIQUE_RANGES = IntervalUncertainty((1, 0, 0), (1, 2, 2))
+
+FPTAS_EPSILONS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8)
 
 TRIANGLE = UndirectedGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -859,6 +863,63 @@ class TestFptas:
                 fam, scen
             ).regret_value
 
+    def test_stopped_ladder_keeps_guarantee_below_full_ladder(self):
+        # the ladder stops at its first rung with V <= the best value found:
+        # the result is the full ladder's, or has a strictly lower value that
+        # still meets value * (1+eps) >= opt
+        cases = [
+            (inst.family, inst.uncertainty)
+            for inst in map(parse_instance, sorted(golden_defs.GOLDEN_DIR.glob("*.json")))
+            if isinstance(inst.uncertainty, DiscreteScenarioSet)
+        ]
+        rng = random.Random(5300)
+        for k in range(1, 5):
+            for w_max in (5, 100, 10**6):
+                for _ in range(2):
+                    inst = gen_random(
+                        n=rng.randint(1, 12), model="discrete", k=k, w_max=w_max,
+                        density=rng.choice([0.0, 0.3, 0.6, 1.0]), seed=rng.randrange(1 << 30),
+                    )
+                    cases.append((inst.family, inst.uncertainty))
+        for fam, scen in cases:
+            opt = solve_max_min_exact(fam, scen)[1]
+            for eps in FPTAS_EPSILONS:
+                members, value = fptas_max_min(fam, scen, eps)
+                assert value == min(weight_under(members, s) for s in scen.scenarios)
+                assert value * (1 + Fraction(eps)) >= opt
+                full = oracles.ref_fptas_max_min(fam, scen, eps)
+                assert (members, value) == full or value < full[1]
+        assert len(cases) == 28
+
+    def test_stopped_ladder_can_return_less_than_full_ladder(self):
+        # three disjoint intervals, one scenario: the rungs V = 114 and 57
+        # both pick {1, 3} (the scaled sums tie with {1, 2, 3}), and 57 <= 105
+        # stops the ladder; a later rung of the full ladder finds all three
+        fam = IntervalFamily.from_pairs([(0, 0), (5, 6), (8, 9)])
+        scen = DiscreteScenarioSet(((35, 9, 70),))
+        assert fptas_max_min(fam, scen, 1) == ((1, 3), 105)
+        assert oracles.ref_fptas_max_min(fam, scen, 1) == ((1, 2, 3), 114)
+        assert solve_max_min_exact(fam, scen)[1] == 114
+
+    def test_zero_best_value_runs_the_ladder_to_its_end(self, frontier_runs):
+        # no set scores above 0, so trial <= best never fires and the ladder
+        # runs to its end: with a weight of 1 to V = 1, with weights of 5 to
+        # the limit matrix at V = 2, which V = 1 repeats
+        runs = frontier_runs
+        scen = DiscreteScenarioSet(((5, 0), (0, 1)))
+        assert fptas_max_min(TWO_CLIQUE, scen, Fraction(1, 2)) == ((), 0)
+        rungs, _, trials = oracles.ref_fptas_ladder(TWO_CLIQUE, scen, Fraction(1, 2))
+        assert trials == [5, 2, 1] and runs == rungs
+        assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, Fraction(1, 2))
+
+        runs.clear()
+        scen = DiscreteScenarioSet(((5, 0), (0, 5)))
+        assert fptas_max_min(TWO_CLIQUE, scen, 8) == ((), 0)
+        rungs, sat, trials = oracles.ref_fptas_ladder(TWO_CLIQUE, scen, 8)
+        assert trials == [5, 2, 1] and runs == rungs[:2]
+        assert rungs[1] == rungs[2] == [[sat, 0], [0, sat]]
+        assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, 8)
+
     def test_guarantee_survives_large_weight_small_optimum(self):
         # surrogate bound UB is far above the optimum here; the scaling must
         # still deliver value >= opt/(1+eps)
@@ -866,6 +927,20 @@ class TestFptas:
         members, value = fptas_max_min(TWO_CLIQUE, scen, 1.0)
         assert Fraction(value) * 2 >= solve_max_min_exact(TWO_CLIQUE, scen)[1]
         assert value >= 1
+
+
+@pytest.fixture
+def frontier_runs(monkeypatch):
+    """The column matrices of every robust._frontier_levels call, in order."""
+    runs = []
+    real = robust._frontier_levels
+
+    def counting(fam, columns, *args, **kwargs):
+        runs.append(columns)
+        return real(fam, columns, *args, **kwargs)
+
+    monkeypatch.setattr(robust, "_frontier_levels", counting)
+    return runs
 
 
 def decoded_frontier_levels(fam, columns, cap, sat=None):
@@ -913,17 +988,25 @@ def assert_reference_prefix(levels, order, preds, columns, ref, sat):
     assert all(d == {full: None} for d in ref[len(got):])
 
 
-def ladder_runs(rungs, sat, first):
-    """The frontier runs fptas_max_min makes on a ladder: its distinct rungs
-    in order, up to and including the first rung whose interval `first`
-    (the first in right-endpoint order) weighs sat in every scenario."""
+def ladder_runs(fam, scen, eps):
+    """The frontier runs fptas_max_min makes, and its result, by the
+    reference ladder: the distinct rungs in order, up to and including the
+    first rung whose trial bound is at most the best value found so far,
+    which is the limit matrix (every nonzero weight at sat), or whose trial
+    bound is 1.  The result is the first best over those runs."""
+    rungs, sat, trials = oracles.ref_fptas_ladder(fam, scen, eps)
+    limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
     runs = []
-    for rung in rungs:
+    best = ((), 0)
+    for trial, rung in zip(trials, rungs):
         if not runs or rung != runs[-1]:
             runs.append(rung)
-        if all(s[first] == sat for s in rung):
+            members, value = oracles.ref_fptas_run(fam, scen, rung, sat)
+            if value > best[1]:
+                best = (members, value)
+        if trial <= best[1] or rung == limit or trial == 1:
             break
-    return runs
+    return runs, best
 
 
 def saturated_take_ties(fam, columns, sat):
@@ -997,7 +1080,7 @@ class TestFrontierEngine:
                 eps = rng.choice([Fraction(1, 2), 2, 4, 8])
                 assert fptas_max_min(fam, scen, eps) == oracles.ref_fptas_max_min(fam, scen, eps)
                 if k == 2:
-                    rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
+                    rungs, sat, _ = oracles.ref_fptas_ladder(fam, scen, eps)
                     ties += sum(saturated_take_ties(fam, r, sat) for r in rungs)
                 report = fptas_regret_discrete(fam, scen, eps)
                 members = oracles.ref_fptas_regret_discrete(fam, scen, eps)
@@ -1051,17 +1134,10 @@ class TestFrontierEngine:
             ties += saturated_take_ties(fam, columns, sat)
         assert ties > 0 or k == 1
 
-    def test_ladder_runs_once_per_distinct_scaled_matrix(self, monkeypatch):
+    def test_ladder_runs_once_per_distinct_scaled_matrix(self, frontier_runs):
         # the runs are the ladder's distinct matrices in order, up to the
-        # first one whose first interval weighs sat in every scenario
-        runs = []
-        real = robust._frontier_levels
-
-        def counting(fam, columns, *args, **kwargs):
-            runs.append(columns)
-            return real(fam, columns, *args, **kwargs)
-
-        monkeypatch.setattr(robust, "_frontier_levels", counting)
+        # first rung whose trial bound is at most the best value found
+        runs = frontier_runs
         rng = random.Random(4444)
         rungs_total = distinct_total = runs_total = 0
         for _ in range(30):
@@ -1069,15 +1145,26 @@ class TestFrontierEngine:
             eps = rng.choice([Fraction(1, 4), Fraction(1, 2), 1])
             runs.clear()
             result = fptas_max_min(fam, scen, eps)
-            rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
+            rungs, _, _ = oracles.ref_fptas_ladder(fam, scen, eps)
             distinct = {tuple(map(tuple, r)) for r in rungs}
-            assert runs == ladder_runs(rungs, sat, core._prepared(fam)[0][0])
+            assert (runs, result) == ladder_runs(fam, scen, eps)
             assert len(runs) == len({tuple(map(tuple, r)) for r in runs})
             assert result == oracles.ref_fptas_max_min(fam, scen, eps)
             rungs_total += len(rungs)
             distinct_total += len(distinct)
             runs_total += len(runs)
         assert runs_total < distinct_total < rungs_total  # some rungs were skipped
+
+    def test_scaling_k2_ladder_makes_at_most_two_runs(self, frontier_runs):
+        # a regression guard by count, not time: on n=120 K=2 instances with
+        # weights up to 10**6 the ladder's best comes from its first two
+        # rungs, and the next rung's trial bound is at most that best
+        runs = frontier_runs
+        for seed in range(5):
+            inst = gen_random(n=120, model="discrete", k=2, w_max=10**6, density=0.5, seed=seed)
+            runs.clear()
+            fptas_max_min(inst.family, inst.uncertainty, Fraction(1, 2))
+            assert 1 <= len(runs) <= 2
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_levels_after_saturation_match_reference(self, k):
@@ -1103,29 +1190,24 @@ class TestFrontierEngine:
                 single += any(len(v) == 1 for v in vecs[1:first])
         assert early >= 20 and single >= 20
 
-    def test_fptas_on_long_ladders_matches_reference(self, monkeypatch):
+    def test_fptas_on_long_ladders_matches_reference(self, frontier_runs):
         # weights up to 10**6 give ladders of about 20 rungs, most of them
         # ending at (sat, sat); the runs are the ladder's distinct matrices
-        # in order up to the first whose first interval weighs sat in every
-        # scenario, which comes before the limit matrix and V = 1 on most
-        runs = []
-        real = robust._frontier_levels
-
-        def counting(fam, columns, *args, **kwargs):
-            runs.append(columns)
-            return real(fam, columns, *args, **kwargs)
-
-        monkeypatch.setattr(robust, "_frontier_levels", counting)
+        # in order up to the first rung whose trial bound is at most the
+        # best value found, which comes before the limit matrix and V = 1
+        # on most
+        runs = frontier_runs
         rng = random.Random(4700)
         ended_early = stopped = 0
         for _ in range(12):
             fam, scen = random_discrete(rng, max_n=9, max_k=3, w_max=10**6)
             eps = rng.choice([Fraction(1, 2), 1, 3])
             runs.clear()
-            assert fptas_max_min(fam, scen, eps) == oracles.ref_fptas_max_min(fam, scen, eps)
-            rungs, sat = oracles.ref_fptas_ladder(fam, scen, eps)
+            result = fptas_max_min(fam, scen, eps)
+            assert result == oracles.ref_fptas_max_min(fam, scen, eps)
+            rungs, sat, _ = oracles.ref_fptas_ladder(fam, scen, eps)
             distinct = [r for i, r in enumerate(rungs) if i == 0 or r != rungs[i - 1]]
-            assert runs == ladder_runs(rungs, sat, core._prepared(fam)[0][0])
+            assert (runs, result) == ladder_runs(fam, scen, eps)
             assert runs == distinct[: len(runs)]
             stopped += len(runs) < len(distinct)
             limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
