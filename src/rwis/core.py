@@ -351,6 +351,20 @@ def _cut_tables(
     return high, cuts
 
 
+def _best_prefixes(fam: IntervalFamily, w: Sequence[int]) -> list[int]:
+    """The right-endpoint DP table of checked weights w: best[pos] is the
+    largest weight of an independent set among the first pos intervals in
+    the order of _prepared, so best[0] is 0 and best[-1] the optimum."""
+    order, preds = _prepared(fam)
+    best = [0]
+    append = best.append
+    for p, i in zip(preds, order):
+        take = best[p] + w[i]
+        skip = best[-1]
+        append(take if take > skip else skip)
+    return best
+
+
 def max_weight_is(
     fam: IntervalFamily, weights: Iterable[int]
 ) -> tuple[tuple[int, ...], int]:
@@ -364,13 +378,8 @@ def max_weight_is(
     Returns (members, value) with members a sorted tuple of 1-based indices.
     """
     w = check_weights(len(fam), weights)
+    best = _best_prefixes(fam, w)
     order, preds = _prepared(fam)
-    best = [0]
-    append = best.append
-    for p, i in zip(preds, order):
-        take = best[p] + w[i]
-        skip = best[-1]
-        append(take if take > skip else skip)
     members = []
     pos = len(fam)
     while pos > 0:

@@ -68,8 +68,9 @@ def weight_under(members: Iterable[int], scenario: Sequence[int]) -> int:
 
 
 def opt_weight(fam: IntervalFamily, scenario: Iterable[int]) -> int:
-    """Weight of a maximum-weight independent set under one scenario."""
-    return core.max_weight_is(fam, scenario)[1]
+    """Weight of a maximum-weight independent set under one scenario: the
+    value max_weight_is returns, without its witness backtrack."""
+    return core._best_prefixes(fam, core.check_weights(len(fam), scenario))[-1]
 
 
 def _optima(fam: IntervalFamily, scen: DiscreteScenarioSet) -> list[int]:
@@ -622,14 +623,21 @@ def fptas_max_min(
     ladder ends at the limit matrix (every nonzero weight at C), which every
     later rung would repeat, or at V = 1.
 
-    It also ends after the first rung with V <= the best value found so far.
-    That value belongs to a real set, so it is at most opt, and the stopping
-    rung has V <= opt.  Every rung from UB down to it has run, or was skipped
-    as a repeat of the previous matrix, so the first rung with V <= opt has
-    been served.  If that rung is UB itself, V = UB >= opt; otherwise the
-    rung before it had a trial T > opt and V = T//2, so 2V >= T - 1 >= opt.
+    The rungs above min_k c_k do not run.  Every set X, of weight s_k(X)
+    under scenario k, has min_k s_k(X) <= s_k(X) <= c_k for each k, so
+    opt <= min_k c_k, and such a rung has V > opt: it cannot be the first
+    rung with V <= opt, the one the guarantee needs.  When min_k c_k = 0
+    every set scores 0, and the empty set is returned before any run.
+
+    The ladder also ends after the first rung with V <= the best value found
+    so far.  That value belongs to a real set, so it is at most opt, and the
+    stopping rung has V <= opt.  Every rung from the first one served down
+    to it has run, or was skipped as a repeat of the previous matrix, so the
+    first rung with V <= opt has been served.  If that rung is UB itself,
+    V = UB >= opt; otherwise the rung before it had a trial T > opt (run, or
+    skipped as above min_k c_k >= opt) and V = T//2, so 2V >= T - 1 >= opt.
     Either way V <= opt <= 2V there, and the guarantee holds.  The result is
-    the first best over a prefix of the full ladder's rungs, so its value is
+    the first best over a subset of the full ladder's rungs, so its value is
     never above the full ladder's and may be below it, always within the
     (1+eps) guarantee.  Each rung's scale t = eps*V/(n(1+eps)) is kept as
     the int pair num = p*V, den = n*(p+q) for eps = p/q; floor(w*den/num)
@@ -638,16 +646,19 @@ def fptas_max_min(
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
     n = len(fam)
-    ub = max(opt_weight(fam, s) for s in scen.scenarios)
+    consts = _optima(fam, scen)
+    low = min(consts)
     best_members: tuple[int, ...] = ()
     best_value = 0
-    if ub == 0 or n == 0:
+    if low == 0:
         return best_members, best_value
     p, q = e.numerator, e.denominator
     den = n * (p + q)
     sat = -(-2 * den // p)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
-    trial = ub
+    trial = max(consts)
+    while trial > low:
+        trial //= 2
     previous = None
     while True:
         num = p * trial

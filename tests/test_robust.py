@@ -863,10 +863,13 @@ class TestFptas:
                 fam, scen
             ).regret_value
 
-    def test_stopped_ladder_keeps_guarantee_below_full_ladder(self):
-        # the ladder stops at its first rung with V <= the best value found:
-        # the result is the full ladder's, or has a strictly lower value that
-        # still meets value * (1+eps) >= opt
+    def test_stopped_ladder_keeps_guarantee_below_full_ladder(self, frontier_runs):
+        # the ladder skips the rungs above min_k c_k and stops at its first
+        # rung with V <= the best value found: runs and result are the
+        # model's, the value is a real set's, never above the full ladder's,
+        # and meets value * (1+eps) >= opt; some results differ from the
+        # full ladder's
+        runs = frontier_runs
         cases = [
             (inst.family, inst.uncertainty)
             for inst in map(parse_instance, sorted(golden_defs.GOLDEN_DIR.glob("*.json")))
@@ -881,15 +884,16 @@ class TestFptas:
                         density=rng.choice([0.0, 0.3, 0.6, 1.0]), seed=rng.randrange(1 << 30),
                     )
                     cases.append((inst.family, inst.uncertainty))
+        differ = 0
         for fam, scen in cases:
-            opt = solve_max_min_exact(fam, scen)[1]
             for eps in FPTAS_EPSILONS:
+                runs.clear()
                 members, value = fptas_max_min(fam, scen, eps)
+                assert (runs, (members, value)) == ladder_runs(fam, scen, eps)
                 assert value == min(weight_under(members, s) for s in scen.scenarios)
-                assert value * (1 + Fraction(eps)) >= opt
-                full = oracles.ref_fptas_max_min(fam, scen, eps)
-                assert (members, value) == full or value < full[1]
+                differ += assert_within_full_ladder(fam, scen, eps, value) != (members, value)
         assert len(cases) == 28
+        assert differ > 0
 
     def test_stopped_ladder_can_return_less_than_full_ladder(self):
         # three disjoint intervals, one scenario: the rungs V = 114 and 57
@@ -903,13 +907,14 @@ class TestFptas:
 
     def test_zero_best_value_runs_the_ladder_to_its_end(self, frontier_runs):
         # no set scores above 0, so trial <= best never fires and the ladder
-        # runs to its end: with a weight of 1 to V = 1, with weights of 5 to
-        # the limit matrix at V = 2, which V = 1 repeats
+        # runs from its first rung at most min_k c_k to its end: with
+        # c = (5, 1) only V = 1 runs, with c = (5, 5) every rung down to the
+        # limit matrix at V = 2, which V = 1 repeats
         runs = frontier_runs
         scen = DiscreteScenarioSet(((5, 0), (0, 1)))
         assert fptas_max_min(TWO_CLIQUE, scen, Fraction(1, 2)) == ((), 0)
         rungs, _, trials = oracles.ref_fptas_ladder(TWO_CLIQUE, scen, Fraction(1, 2))
-        assert trials == [5, 2, 1] and runs == rungs
+        assert trials == [5, 2, 1] and runs == rungs[2:]
         assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, Fraction(1, 2))
 
         runs.clear()
@@ -919,6 +924,56 @@ class TestFptas:
         assert trials == [5, 2, 1] and runs == rungs[:2]
         assert rungs[1] == rungs[2] == [[sat, 0], [0, sat]]
         assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, 8)
+
+    def test_zero_scenario_optimum_returns_empty_set_without_a_run(self, frontier_runs):
+        # min_k c_k = 0 bounds every set's worst case by 0: no rung runs
+        runs = frontier_runs
+        for scenarios in (((5, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 3), (4, 4), (0, 0))):
+            scen = DiscreteScenarioSet(scenarios)
+            for eps in FPTAS_EPSILONS:
+                assert fptas_max_min(TWO_CLIQUE, scen, eps) == ((), 0)
+                assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, eps)
+        assert runs == []
+
+    def test_skipped_rung_can_hold_the_full_ladders_best(self):
+        # c = (53, 20): the rungs V = 53 and 26 are above min_k c_k and do
+        # not run; V = 53 is where the full ladder finds {1, 2}, worth 20,
+        # while V = 13 picks {1}, worth 18 >= 20/(1+1), and stops the ladder
+        fam = IntervalFamily.from_pairs([(0, 0), (5, 6)])
+        scen = DiscreteScenarioSet(((38, 15), (18, 2)))
+        assert robust._optima(fam, scen) == [53, 20]
+        assert oracles.ref_fptas_ladder(fam, scen, 1)[2] == [53, 26, 13, 6, 3, 1]
+        assert fptas_max_min(fam, scen, 1) == ((1,), 18)
+        assert oracles.ref_fptas_max_min(fam, scen, 1) == ((1, 2), 20)
+        assert solve_max_min_exact(fam, scen) == ((1, 2), 20)
+
+    def test_no_rung_above_the_smallest_scenario_optimum_runs(self, frontier_runs):
+        # every run is the matrix of a rung with V <= min_k c_k, the first of
+        # them leads; on many instances some rung above min_k c_k has a
+        # matrix no served rung has
+        runs = frontier_runs
+        rng = random.Random(5400)
+        skipped_apart = 0
+        for k in range(1, 5):
+            for _ in range(20):
+                inst = gen_random(
+                    n=rng.randint(1, 10), model="discrete", k=k,
+                    w_max=rng.choice([5, 100, 10**6]),
+                    density=rng.choice([0.0, 0.3, 0.6]), seed=rng.randrange(1 << 30),
+                )
+                fam, scen = inst.family, inst.uncertainty
+                eps = rng.choice(FPTAS_EPSILONS)
+                runs.clear()
+                fptas_max_min(fam, scen, eps)
+                low = min(oracles.brute_opt(fam, s) for s in scen.scenarios)
+                rungs, _, trials = oracles.ref_fptas_ladder(fam, scen, eps)
+                served = [r for t, r in zip(trials, rungs) if t <= low]
+                assert all(r in served for r in runs)
+                assert runs[:1] == served[:1] if low else runs == []
+                skipped_apart += any(
+                    r not in served for t, r in zip(trials, rungs) if t > low
+                )
+        assert skipped_apart >= 20
 
     def test_guarantee_survives_large_weight_small_optimum(self):
         # surrogate bound UB is far above the optimum here; the scaling must
@@ -990,15 +1045,20 @@ def assert_reference_prefix(levels, order, preds, columns, ref, sat):
 
 def ladder_runs(fam, scen, eps):
     """The frontier runs fptas_max_min makes, and its result, by the
-    reference ladder: the distinct rungs in order, up to and including the
-    first rung whose trial bound is at most the best value found so far,
-    which is the limit matrix (every nonzero weight at sat), or whose trial
-    bound is 1.  The result is the first best over those runs."""
+    reference ladder: the distinct rungs in order, from the first rung whose
+    trial bound is at most min_k c_k up to and including the first rung
+    whose trial bound is at most the best value found so far, which is the
+    limit matrix (every nonzero weight at sat), or whose trial bound is 1.
+    No rung runs when min_k c_k = 0.  The result is the first best over
+    those runs."""
     rungs, sat, trials = oracles.ref_fptas_ladder(fam, scen, eps)
+    low = min(oracles.brute_opt(fam, s) for s in scen.scenarios)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
     runs = []
     best = ((), 0)
     for trial, rung in zip(trials, rungs):
+        if trial > low:
+            continue
         if not runs or rung != runs[-1]:
             runs.append(rung)
             members, value = oracles.ref_fptas_run(fam, scen, rung, sat)
@@ -1007,6 +1067,15 @@ def ladder_runs(fam, scen, eps):
         if trial <= best[1] or rung == limit or trial == 1:
             break
     return runs, best
+
+
+def assert_within_full_ladder(fam, scen, eps, value):
+    """A max-min FPTAS value is never above the full reference ladder's and
+    meets value * (1+eps) >= opt; returns the full ladder's result."""
+    full = oracles.ref_fptas_max_min(fam, scen, eps)
+    assert value <= full[1]
+    assert value * (1 + Fraction(eps)) >= oracles.brute_max_min(fam, scen.scenarios)
+    return full
 
 
 def saturated_take_ties(fam, columns, sat):
@@ -1135,8 +1204,9 @@ class TestFrontierEngine:
         assert ties > 0 or k == 1
 
     def test_ladder_runs_once_per_distinct_scaled_matrix(self, frontier_runs):
-        # the runs are the ladder's distinct matrices in order, up to the
-        # first rung whose trial bound is at most the best value found
+        # the runs are the ladder's distinct matrices in order, from the
+        # first rung at most min_k c_k up to the first rung whose trial
+        # bound is at most the best value found
         runs = frontier_runs
         rng = random.Random(4444)
         rungs_total = distinct_total = runs_total = 0
@@ -1149,11 +1219,22 @@ class TestFrontierEngine:
             distinct = {tuple(map(tuple, r)) for r in rungs}
             assert (runs, result) == ladder_runs(fam, scen, eps)
             assert len(runs) == len({tuple(map(tuple, r)) for r in runs})
-            assert result == oracles.ref_fptas_max_min(fam, scen, eps)
+            assert_within_full_ladder(fam, scen, eps, result[1])
             rungs_total += len(rungs)
             distinct_total += len(distinct)
             runs_total += len(runs)
         assert runs_total < distinct_total < rungs_total  # some rungs were skipped
+
+    def test_scaling_k2_ladder_makes_one_run(self, frontier_runs):
+        # a regression guard by count, not time: on n=120 K=2 instances with
+        # weights up to 10**6 the first rung at most min_k c_k finds a set
+        # worth at least its trial bound, which stops the ladder
+        runs = frontier_runs
+        for seed in range(5):
+            inst = gen_random(n=120, model="discrete", k=2, w_max=10**6, density=0.5, seed=seed)
+            runs.clear()
+            fptas_max_min(inst.family, inst.uncertainty, Fraction(1, 2))
+            assert len(runs) == 1
 
     def test_scaling_k2_ladder_makes_at_most_two_runs(self, frontier_runs):
         # a regression guard by count, not time: on n=120 K=2 instances with
@@ -1192,10 +1273,10 @@ class TestFrontierEngine:
 
     def test_fptas_on_long_ladders_matches_reference(self, frontier_runs):
         # weights up to 10**6 give ladders of about 20 rungs, most of them
-        # ending at (sat, sat); the runs are the ladder's distinct matrices
-        # in order up to the first rung whose trial bound is at most the
-        # best value found, which comes before the limit matrix and V = 1
-        # on most
+        # ending at (sat, sat); the runs are the distinct matrices of the
+        # rungs at most min_k c_k, in order up to the first rung whose trial
+        # bound is at most the best value found, which comes before the
+        # limit matrix and V = 1 on most
         runs = frontier_runs
         rng = random.Random(4700)
         ended_early = stopped = 0
@@ -1204,9 +1285,11 @@ class TestFrontierEngine:
             eps = rng.choice([Fraction(1, 2), 1, 3])
             runs.clear()
             result = fptas_max_min(fam, scen, eps)
-            assert result == oracles.ref_fptas_max_min(fam, scen, eps)
-            rungs, sat, _ = oracles.ref_fptas_ladder(fam, scen, eps)
-            distinct = [r for i, r in enumerate(rungs) if i == 0 or r != rungs[i - 1]]
+            assert_within_full_ladder(fam, scen, eps, result[1])
+            rungs, sat, trials = oracles.ref_fptas_ladder(fam, scen, eps)
+            low = min(oracles.brute_opt(fam, s) for s in scen.scenarios)
+            served = [r for t, r in zip(trials, rungs) if t <= low]
+            distinct = [r for i, r in enumerate(served) if i == 0 or r != served[i - 1]]
             assert (runs, result) == ladder_runs(fam, scen, eps)
             assert runs == distinct[: len(runs)]
             stopped += len(runs) < len(distinct)
