@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add, and_, lshift, neg, or_, sub
+from operator import add, and_, lshift, neg, or_, rshift, sub
 from typing import Callable, Iterable, Sequence
 
 from . import core, scenarios
@@ -46,15 +46,6 @@ class ParetoFrontier:
 
     k: int
     vectors: frozenset[tuple[int, ...]]
-
-    def is_valid(self) -> bool:
-        """Check the non-domination invariant (quadratic; for tests)."""
-        vecs = list(self.vectors)
-        for a in vecs:
-            for b in vecs:
-                if a != b and all(x <= y for x, y in zip(a, b)):
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +171,14 @@ def _guards(k: int, bits: int) -> int:
     return ((1 << (bits * k)) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
-def _unpack(v: int, k: int, bits: int) -> tuple[int, ...]:
-    """The K-tuple stored in the packed vector v."""
+def _unpack(vecs: list[int], k: int, bits: int) -> list[tuple[int, ...]]:
+    """The K-tuples stored in the packed vecs, in the same order: one
+    shift-and-mask pass over the list per field, zipped into tuples."""
     mask = (1 << bits) - 1
-    return tuple((v >> (bits * i)) & mask for i in range(k - 1, -1, -1))
+    return list(zip(*[
+        map(and_, map(rshift, vecs, repeat(bits * i)), repeat(mask))
+        for i in range(k - 1, -1, -1)
+    ]))
 
 
 def _saturate(vecs: list[int], sat: int, k: int, bits: int) -> list[int]:
@@ -220,11 +215,13 @@ def _pareto_max(vecs: list[int], k: int, bits: int) -> list[int]:
     if k <= 2:
         # staircase over the last field; at K=1 that field is the whole
         # vector, so only the first (largest) vector passes
-        best_second = -1
+        append = kept.append
+        best_last = -1
         for v in vecs:
-            if v & mask > best_second:
-                best_second = v & mask
-                kept.append(v)
+            last = v & mask
+            if last > best_last:
+                best_last = last
+                append(v)
     elif k == 3:
         # (y, z) staircase of the kept vectors: the first field is at least
         # as large in every earlier vector, so only the last two decide
@@ -262,7 +259,8 @@ def _frontier_levels(
     and backtracking starts there.  `cap` goes through resolve_frontier_cap
     here, the one place every frontier solver reaches.  Returns (levels,
     order, preds, bits, packed), packed[i] being vertex i+1's packed weight
-    vector; _unpack(v, K, bits) decodes a vector.
+    vector; _unpack(vecs, K, bits) decodes a list of vectors, one
+    shift-and-mask pass per field.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -290,6 +288,21 @@ def _frontier_levels(
     is an antichain, so its translate u + w is one too, and u + w >= u
     dominates u or equals it (w = 0, where the skip keeps the same value).
     The sort and the prune would return exactly that list.
+
+    Saturation check at K <= 2.  Every such level is a strict staircase:
+    the prune keeps a vector only if its last field is above every earlier
+    kept one's, so along the list the last field rises and, the list being
+    descending, the first field falls (an equal first field would need a
+    smaller last one).  The shifted level, the cut-off level (sat, sat)
+    and, at K=1, the lone vector of every level are staircases too.  So the
+    first vector of level p(pos) holds its largest first field and the last
+    vector its largest last field, and u + w has a field above sat for some
+    u exactly when (level[0] >> bits) + (w >> bits) > sat or
+    (level[-1] & mask) + (w & mask) > sat (at K=1 the first test reads 0,
+    and the second reads the one field).  Otherwise _saturate would return
+    the shifted list unchanged, so it is not called, and the shortcut above
+    still fires.  At K >= 3 no field order holds along the level, and
+    _saturate scans it.
     """
     cap = resolve_frontier_cap(cap)
     order, preds = core._prepared(fam)
@@ -298,6 +311,7 @@ def _frontier_levels(
     packed = [0] * len(fam)
     for col in columns:
         packed = list(map(add, map(lshift, packed, repeat(bits)), col))
+    mask = (1 << bits) - 1
     levels = [[0]]
     full = None if sat is None else [sat * (_guards(k, bits) >> (bits - 1))]
     for pos in range(1, len(fam) + 1):
@@ -307,11 +321,20 @@ def _frontier_levels(
             # so this level is the final one
             break
         pred = preds[pos - 1]
-        shifted = list(map(add, levels[pred], repeat(packed[order[pos - 1]])))
-        vecs = shifted if sat is None else _saturate(shifted, sat, k, bits)
+        level = levels[pred]
+        w = packed[order[pos - 1]]
+        vecs = shifted = list(map(add, level, repeat(w)))
+        if sat is not None and (
+            k > 2
+            or (level[0] >> bits) + (w >> bits) > sat
+            or (level[-1] & mask) + (w & mask) > sat
+        ):
+            vecs = _saturate(shifted, sat, k, bits)
         if pred < pos - 1 or vecs is not shifted:
             # otherwise vecs is level pos-1 shifted and unsaturated: the level
-            vecs = _pareto_max(sorted(levels[pos - 1] + vecs, reverse=True), k, bits)
+            merged = levels[pos - 1] + vecs
+            merged.sort(reverse=True)
+            vecs = _pareto_max(merged, k, bits)
         if len(vecs) > cap:
             raise FrontierCapError(
                 f"frontier size {len(vecs)} exceeds cap {cap} at interval {pos}"
@@ -352,7 +375,7 @@ def _frontier_best(
     """
     levels, order, preds, bits, packed = _frontier_levels(fam, columns, cap, sat)
     k = len(columns)
-    final = [_unpack(v, k, bits) for v in levels[-1]]
+    final = _unpack(levels[-1], k, bits)
     vec = min(reversed(final), key=score)  # ascending: ties go to the smallest
     v = levels[-1][final.index(vec)]
     guards = _guards(k, bits)
@@ -398,7 +421,7 @@ def pareto_frontier(
     _require_same_size(fam, scen.n)
     levels, _, _, bits, _ = _frontier_levels(fam, scen.scenarios, cap)
     return ParetoFrontier(
-        k=scen.k, vectors=frozenset(_unpack(v, scen.k, bits) for v in levels[-1])
+        k=scen.k, vectors=frozenset(_unpack(levels[-1], scen.k, bits))
     )
 
 

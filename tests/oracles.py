@@ -203,6 +203,15 @@ def brute_regret_interval_argmin(fam, lower, upper):
     return best
 
 
+def is_antichain(vectors):
+    """True when no vector is dominated by another, under component-wise
+    <= (a quadratic check of a frontier's non-domination invariant)."""
+    vecs = list(vectors)
+    return not any(
+        a != b and all(x <= y for x, y in zip(a, b)) for a in vecs for b in vecs
+    )
+
+
 def pareto_max_of_sets(fam, scenarios, sat=None):
     """Pareto maximum, under component-wise >=, of the per-scenario weight
     sums of every independent set, each sum clipped at `sat` when given."""

@@ -379,7 +379,7 @@ class TestParetoFrontier:
         for _ in range(30):
             fam, scen = random_discrete(rng, max_n=8)
             front = pareto_frontier(fam, scen)
-            assert front.is_valid()
+            assert oracles.is_antichain(front.vectors)
             achievable = {
                 tuple(oracles.mask_weight(m, s) for s in scen.scenarios)
                 for m in oracles.independent_masks(fam)
@@ -1002,8 +1002,8 @@ def decoded_frontier_levels(fam, columns, cap, sat=None):
     """robust._frontier_levels with every packed vector decoded to its tuple."""
     levels, order, preds, bits, packed = robust._frontier_levels(fam, columns, cap, sat=sat)
     k = len(columns)
-    assert [robust._unpack(w, k, bits) for w in packed] == list(zip(*columns))
-    return [[robust._unpack(v, k, bits) for v in vecs] for vecs in levels], order, preds
+    assert robust._unpack(packed, k, bits) == list(zip(*columns))
+    return [robust._unpack(vecs, k, bits) for vecs in levels], order, preds
 
 
 def levels_as_reference(levels, order, preds, columns, sat):
@@ -1421,8 +1421,170 @@ class TestPackedVectors:
         bits = max(a + b).bit_length() + 1 + slack
         first, second = sorted([tuple(a), tuple(b)], reverse=True)
         vecs = [pack(first, bits), pack(second, bits)]
-        assert [robust._unpack(v, k, bits) for v in vecs] == [first, second]
+        assert robust._unpack(vecs, k, bits) == [first, second]
         # the later vector is dropped exactly when the earlier one dominates it
         kept = robust._pareto_max(vecs, k, bits)
         dominated = all(x <= y for x, y in zip(second, first))
         assert kept == (vecs[:1] if dominated else vecs)
+
+
+@pytest.fixture
+def saturate_calls(monkeypatch):
+    """One flag per robust._saturate call, in order: True when the call
+    lowered some field, so returned a new list."""
+    calls = []
+    real = robust._saturate
+
+    def counting(vecs, sat, k, bits):
+        out = real(vecs, sat, k, bits)
+        calls.append(out is not vecs)
+        return out
+
+    monkeypatch.setattr(robust, "_saturate", counting)
+    return calls
+
+
+def near_sat_columns(rng, n, k, sat):
+    """k columns of weights 0, 1, sat-1, sat or sat+2: sums reach sat fast."""
+    return tuple(
+        tuple(rng.choice((0, 1, sat - 1, sat, sat + 2)) for _ in range(n)) for _ in range(k)
+    )
+
+
+def end_vector_test_passes(level, w, sat, bits):
+    """The K <= 2 test of robust._frontier_levels: no u + w, u in the
+    packed level, has a field above sat."""
+    mask = (1 << bits) - 1
+    return (level[0] >> bits) + (w >> bits) <= sat and (level[-1] & mask) + (w & mask) <= sat
+
+
+# the pinned K=2 instance of the CI step on saturating FPTAS levels: at eps
+# 1/8, 1/2 and 8 the max-min scheme's levels lower some field to sat
+K2_SATURATING = (((0, 1), (0, 2), (3, 4)), ((6, 7, 1), (9, 5, 9)))
+
+
+class TestDecoderAndK2Saturation:
+    """The list decoder, and the end-vector test that decides at K <= 2
+    whether a shifted level needs the saturation scan."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_list_decoder_equals_per_field_extraction(self, k):
+        rng = random.Random(5300 + k)
+        decoded = 0
+        for _ in range(12):
+            fam, scen = random_discrete(rng, max_n=10, max_k=1, w_max=1)
+            columns = tuple(
+                tuple(rng.randint(0, 9) for _ in range(scen.n)) for _ in range(k)
+            )
+            for sat in (None, rng.randint(1, 12)):
+                levels, _, _, bits, packed = robust._frontier_levels(fam, columns, 10**6, sat=sat)
+                mask = (1 << bits) - 1
+                for vecs in levels + [packed]:
+                    want = [
+                        tuple((v >> (bits * i)) & mask for i in range(k - 1, -1, -1))
+                        for v in vecs
+                    ]
+                    assert robust._unpack(vecs, k, bits) == want
+                    decoded += len(vecs)
+        assert robust._unpack([], k, 5) == []
+        assert decoded > 100
+
+    def test_every_k2_level_is_a_strict_staircase(self):
+        # levels built by the prune after a saturation, shifted levels kept
+        # as they are, and the lone (sat, sat) level that ends a run
+        rng = random.Random(5400)
+        kinds = {"saturated": 0, "shortcut": 0, "cut_off": 0}
+        for _ in range(60):
+            fam, scen = random_discrete(rng, max_n=14, max_k=1, w_max=1)
+            sat = rng.randint(1, 8)
+            columns = near_sat_columns(rng, scen.n, 2, sat)
+            for s in (None, sat):
+                levels, order, preds, bits, packed = robust._frontier_levels(
+                    fam, columns, 10**6, sat=s
+                )
+                for pos, vecs in enumerate(robust._unpack(level, 2, bits) for level in levels):
+                    firsts = [x for x, _ in vecs]
+                    lasts = [y for _, y in vecs]
+                    assert firsts == sorted(set(firsts), reverse=True)
+                    assert lasts == sorted(set(lasts))
+                    if pos == 0 or s is None:
+                        continue
+                    parents = levels[preds[pos - 1]]
+                    w = packed[order[pos - 1]]
+                    if not end_vector_test_passes(parents, w, s, bits):
+                        kinds["saturated"] += 1
+                    elif preds[pos - 1] == pos - 1:
+                        kinds["shortcut"] += 1
+                if s is not None and len(levels) <= len(fam):
+                    assert robust._unpack(levels[-1], 2, bits) == [(s, s)]
+                    kinds["cut_off"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_end_vector_test_is_exact_and_levels_match_reference(self, k, saturate_calls):
+        # the test passes exactly where _saturate would return the shifted
+        # level unchanged, every _saturate call the DP makes lowers a field,
+        # and the levels are the reference DP's either way
+        rng = random.Random(5500 + k)
+        passed = failed = 0
+        for _ in range(40):
+            fam, scen = random_discrete(rng, max_n=14, max_k=1, w_max=1)
+            sat = rng.randint(1, 6)
+            columns = near_sat_columns(rng, scen.n, k, sat)
+            saturate_calls.clear()
+            levels, order, preds, bits, packed = robust._frontier_levels(
+                fam, columns, 10**6, sat=sat
+            )
+            assert all(saturate_calls)
+            calls = len(saturate_calls)
+            for pos in range(1, len(levels)):
+                parents = levels[preds[pos - 1]]
+                w = packed[order[pos - 1]]
+                shifted = [u + w for u in parents]
+                passes = end_vector_test_passes(parents, w, sat, bits)
+                assert passes == (robust._saturate(shifted, sat, k, bits) is shifted)
+                passed += passes
+                failed += not passes
+            assert len(saturate_calls) - calls == len(levels) - 1
+            assert calls == sum(
+                not end_vector_test_passes(levels[preds[p - 1]], packed[order[p - 1]], sat, bits)
+                for p in range(1, len(levels))
+            )
+            assert_levels_match_reference(fam, columns, sat)
+        assert passed >= 40 and failed >= 15
+
+    def test_k3_keeps_the_saturation_scan(self, saturate_calls):
+        # every level is scanned, also where nothing comes near sat; a zero
+        # first column leaves the end-vector test of K <= 2 nothing to refuse
+        rng = random.Random(5600)
+        for _ in range(10):
+            fam, scen = random_discrete(rng, max_n=10, max_k=1, w_max=1)
+            for sat in (50, 10**6):
+                columns = near_sat_columns(rng, scen.n, 3, 50)
+                for cols in (columns, ((0,) * scen.n,) + columns[1:]):
+                    saturate_calls.clear()
+                    levels = robust._frontier_levels(fam, cols, 10**6, sat=sat)[0]
+                    assert len(saturate_calls) == len(levels) - 1
+
+    def test_scaling_k2_fptas_makes_no_saturate_call(self, saturate_calls):
+        # a regression guard by count, not time: on n=120 K=2 instances with
+        # weights up to 10**6 the one rung that runs never needs saturating
+        for seed in range(5):
+            inst = gen_random(n=120, model="discrete", k=2, w_max=10**6, density=0.5, seed=seed)
+            fptas_max_min(inst.family, inst.uncertainty, Fraction(1, 2))
+        assert saturate_calls == []
+
+    def test_saturating_k2_instance_still_saturates(self, saturate_calls, frontier_runs):
+        pairs, columns = K2_SATURATING
+        fam = IntervalFamily.from_pairs(pairs)
+        scen = DiscreteScenarioSet(columns)
+        for eps in (Fraction(1, 8), Fraction(1, 2), 8):
+            saturate_calls.clear()
+            frontier_runs.clear()
+            result = fptas_max_min(fam, scen, eps)
+            assert any(saturate_calls)
+            assert (frontier_runs, result) == ladder_runs(fam, scen, eps)
+            assert_within_full_ladder(fam, scen, eps, result[1])
+        assert fptas_max_min(fam, scen, Fraction(1, 2)) == oracles.ref_fptas_max_min(
+            fam, scen, Fraction(1, 2)
+        )
