@@ -252,15 +252,12 @@ def _frontier_levels(
     """Run the frontier DP; keep every level for witness backtracking.
 
     columns[k][i] is vertex i+1's weight under scenario k+1.  Level i is the
-    descending list of packed vectors described above.  With `sat` set,
-    additions saturate at that value per coordinate, and the DP stops at the
-    first level that is the lone vector (sat, ..., sat): every later level
-    would repeat it as a skip, so the last level returned is the final one
-    and backtracking starts there.  `cap` goes through resolve_frontier_cap
-    here, the one place every frontier solver reaches.  Returns (levels,
-    order, preds, bits, packed), packed[i] being vertex i+1's packed weight
-    vector; _unpack(vecs, K, bits) decodes a list of vectors, one
-    shift-and-mask pass per field.
+    descending list of packed vectors described above; all n+1 levels are
+    built.  With `sat` set, additions saturate at that value per coordinate.
+    `cap` goes through resolve_frontier_cap here, the one place every
+    frontier solver reaches.  Returns (levels, order, preds, bits, packed),
+    packed[i] being vertex i+1's packed weight vector; _unpack(vecs, K,
+    bits) decodes a list of vectors, one shift-and-mask pass per field.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -293,11 +290,11 @@ def _frontier_levels(
     the prune keeps a vector only if its last field is above every earlier
     kept one's, so along the list the last field rises and, the list being
     descending, the first field falls (an equal first field would need a
-    smaller last one).  The shifted level, the cut-off level (sat, sat)
-    and, at K=1, the lone vector of every level are staircases too.  So the
-    first vector of level p(pos) holds its largest first field and the last
-    vector its largest last field, and u + w has a field above sat for some
-    u exactly when (level[0] >> bits) + (w >> bits) > sat or
+    smaller last one).  The shifted level and, at K=1, the lone vector of
+    every level are staircases too.  So the first vector of level p(pos)
+    holds its largest first field and the last vector its largest last
+    field, and u + w has a field above sat for some u exactly when
+    (level[0] >> bits) + (w >> bits) > sat or
     (level[-1] & mask) + (w & mask) > sat (at K=1 the first test reads 0,
     and the second reads the one field).  Otherwise _saturate would return
     the shifted list unchanged, so it is not called, and the shortcut above
@@ -313,13 +310,7 @@ def _frontier_levels(
         packed = list(map(add, map(lshift, packed, repeat(bits)), col))
     mask = (1 << bits) - 1
     levels = [[0]]
-    full = None if sat is None else [sat * (_guards(k, bits) >> (bits - 1))]
     for pos in range(1, len(fam) + 1):
-        if levels[-1] == full:
-            # (sat, ..., sat) dominates every later candidate, and an equal
-            # skip wins over a take: every later level would be that skip,
-            # so this level is the final one
-            break
         pred = preds[pos - 1]
         level = levels[pred]
         w = packed[order[pos - 1]]
@@ -641,10 +632,12 @@ def fptas_max_min(
     fixed K.  For the ladder value with V <= opt <= 2V the scaled optimum
     loses at most n*t <= eps*opt/(1+eps) in original units, which yields the
     guarantee; the best exact value over the runs made is returned.  The
-    scaled weights only grow down the ladder, so a rung whose scaled matrix
-    equals the previous one repeats its run exactly and is skipped, and the
-    ladder ends at the limit matrix (every nonzero weight at C), which every
-    later rung would repeat, or at V = 1.
+    ladder ends at V = 1, or at the first rung whose cut, the least weight
+    that scales to C, is at most the smallest nonzero weight (one exists,
+    as min_k c_k > 0 there).  A weight w > 0 scales to C exactly when
+    w >= cut, and a zero scales to 0 as cut >= 1, so that rung is the first
+    whose matrix has every nonzero weight at C; cut only falls down the
+    ladder, so every later rung would repeat that matrix and its run.
 
     The rungs above min_k c_k do not run.  Every set X, of weight s_k(X)
     under scenario k, has min_k s_k(X) <= s_k(X) <= c_k for each k, so
@@ -655,14 +648,13 @@ def fptas_max_min(
     The ladder also ends after the first rung with V <= the best value found
     so far.  That value belongs to a real set, so it is at most opt, and the
     stopping rung has V <= opt.  Every rung from the first one served down
-    to it has run, or was skipped as a repeat of the previous matrix, so the
-    first rung with V <= opt has been served.  If that rung is UB itself,
-    V = UB >= opt; otherwise the rung before it had a trial T > opt (run, or
-    skipped as above min_k c_k >= opt) and V = T//2, so 2V >= T - 1 >= opt.
-    Either way V <= opt <= 2V there, and the guarantee holds.  The result is
-    the first best over a subset of the full ladder's rungs, so its value is
-    never above the full ladder's and may be below it, always within the
-    (1+eps) guarantee.  Each rung's scale t = eps*V/(n(1+eps)) is kept as
+    to it has run, so the first rung with V <= opt has run.  If that rung
+    is UB itself, V = UB >= opt; otherwise the rung before it had a trial
+    T > opt (run, or skipped as above min_k c_k >= opt) and V = T//2, so
+    2V >= T - 1 >= opt.  Either way V <= opt <= 2V there, and the guarantee
+    holds.  The result is the first best over a subset of the full ladder's
+    rungs, so its value is never above the full ladder's and may be below
+    it, always within the (1+eps) guarantee.  Each rung's scale t = eps*V/(n(1+eps)) is kept as
     the int pair num = p*V, den = n*(p+q) for eps = p/q; floor(w*den/num)
     and ceil(C*num/den) do not change under a common factor of num and den.
     """
@@ -678,24 +670,21 @@ def fptas_max_min(
     p, q = e.numerator, e.denominator
     den = n * (p + q)
     sat = -(-2 * den // p)
-    limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
+    smallest = min(w for s in scen.scenarios for w in s if w)
     trial = max(consts)
     while trial > low:
         trial //= 2
-    previous = None
     while True:
         num = p * trial
         # w * den // num reaches sat exactly when w reaches cut
         cut = -(-sat * num // den)
         scaled = [[w * den // num if w < cut else sat for w in s] for s in scen.scenarios]
-        if scaled != previous:
-            members, _ = _frontier_best(fam, scaled, cap, _neg_min, sat=sat)
-            value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
-            if value > best_value:
-                best_value = value
-                best_members = members
-            previous = scaled
-        if trial <= best_value or trial == 1 or scaled == limit:
+        members, _ = _frontier_best(fam, scaled, cap, _neg_min, sat=sat)
+        value = min(sum(s[i - 1] for i in members) for s in scen.scenarios)
+        if value > best_value:
+            best_value = value
+            best_members = members
+        if trial <= best_value or trial == 1 or cut <= smallest:
             break
         trial //= 2
     return best_members, best_value

@@ -335,7 +335,7 @@ def ref_fptas_ladder(fam, scen, eps):
     V = UB, UB//2, ..., 1, with the saturation value C and each rung's V."""
     e = Fraction(eps)
     n = len(fam)
-    ub = max(brute_opt(fam, s) for s in scen.scenarios)
+    ub = max(left_scan_opt(fam, s) for s in scen.scenarios)
     if ub == 0 or n == 0:
         return [], None, []
     sat_num = 2 * n * (1 + e) / e

@@ -903,6 +903,35 @@ class TestBench:
         assert code == 11 and out == ""
         assert err == f"error: cannot write {target}: No such file or directory\n"
 
+    def test_exact_cell_reuses_the_opt_columns_solve(self, capsys, monkeypatch):
+        # one exact solve per instance, whether or not exact is listed: the
+        # goldens hold 4 discrete and 2 range instances
+        calls = []
+        for name in ("solve_regret_discrete_exact", "solve_regret_interval_exact"):
+            real = getattr(robust, name)
+
+            def counting(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(robust, name, counting)
+        for algorithms, timings in (("exact,kapprox,midpoint", ()), ("kapprox", ("--timings",))):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "bench", str(GOLDEN), "--problem", "regret",
+                "--algorithms", algorithms, *timings,
+            )
+            assert code == 0
+            assert calls.count("solve_regret_discrete_exact") == 4
+            assert calls.count("solve_regret_interval_exact") == 2
+        code, out, _ = run(
+            capsys, "bench", str(GOLDEN), "--problem", "regret",
+            "--algorithms", "exact", "--timings",
+        )
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 6
+        assert all(row[3] == row[4] and float(row[6]) >= 0 for row in rows)
+
     def test_unsupported_cells_marked(self, capsys, tmp_path):
         suite = tmp_path / "suite"
         suite.mkdir()
@@ -920,6 +949,14 @@ class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
+        assert out.count(": ok") == 4
+
+    def test_ignores_the_guard_variable(self, capsys, monkeypatch):
+        # selfcheck takes no --guard-n, so RWIS_GUARD_N must not reach its
+        # enumerations: it runs at the default guards
+        monkeypatch.setenv("RWIS_GUARD_N", "3")
+        code, out, err = run(capsys, "selfcheck")
+        assert (code, err) == (0, "")
         assert out.count(": ok") == 4
 
     def test_a_wrong_bruteforce_fails(self, capsys, monkeypatch):
@@ -1176,7 +1213,7 @@ READ_BY = {
             ("random", ["--n", "4", "--model", "discrete", "--k", "2"]),
         )
     ],
-    "bench": [["bench", "{dir}", "--problem", "regret", "--algorithms", "exact"]],
+    "bench": [["bench", "{dir}", "--problem", "regret", "--algorithms", "exact,kapprox"]],
     "selfcheck": [["selfcheck"]],
 }
 

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwis import (
@@ -925,6 +925,20 @@ class TestFptas:
         assert rungs[1] == rungs[2] == [[sat, 0], [0, sat]]
         assert (runs, ((), 0)) == ladder_runs(TWO_CLIQUE, scen, 8)
 
+    def test_zero_optimum_clique_ends_at_the_limit_matrix(self, frontier_runs):
+        # a K=2 clique whose scenarios have disjoint supports: every set
+        # scores 0 while min_k c_k = 10**6, so trial <= best never fires and
+        # the limit matrix ends the ladder, 12 runs of its 20 rungs
+        runs = frontier_runs
+        fam, scen = ZERO_OPT_CLIQUE
+        assert robust._optima(fam, scen) == [10**6, 10**6]
+        for eps in FPTAS_EPSILONS:
+            runs.clear()
+            assert fptas_max_min(fam, scen, eps) == ((), 0)
+            assert (runs, ((), 0)) == ladder_runs(fam, scen, eps)
+            assert len(runs) == 12
+            assert len(oracles.ref_fptas_ladder(fam, scen, eps)[0]) == 20
+
     def test_zero_scenario_optimum_returns_empty_set_without_a_run(self, frontier_runs):
         # min_k c_k = 0 bounds every set's worst case by 0: no rung runs
         runs = frontier_runs
@@ -984,6 +998,14 @@ class TestFptas:
         assert value >= 1
 
 
+# 120 copies of one interval, weights 10**6 and 1000 on alternate vertices of
+# each scenario, 0 on the others: no vertex is nonzero in both scenarios
+ZERO_OPT_CLIQUE = (
+    IntervalFamily.from_pairs([(0, 1)] * 120),
+    DiscreteScenarioSet(((10**6, 0, 1000, 0) * 30, (0, 10**6, 0, 1000) * 30)),
+)
+
+
 @pytest.fixture
 def frontier_runs(monkeypatch):
     """The column matrices of every robust._frontier_levels call, in order."""
@@ -1031,39 +1053,33 @@ def levels_as_reference(levels, order, preds, columns, sat):
     return out
 
 
-def assert_reference_prefix(levels, order, preds, columns, ref, sat):
-    """The engine's levels equal the reference DP's first levels, in order
-    and provenance.  The engine stops at its first level that is the lone
-    vector (sat, ..., sat), and every reference level after that is the
-    same vector as a skip."""
+def assert_reference_levels(levels, order, preds, columns, ref, sat):
+    """The engine's levels equal the reference DP's, all n+1 of them, in
+    order and provenance."""
     got = levels_as_reference(levels, order, preds, columns, sat)
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref[: len(got)]]
-    full = (sat,) * len(columns)
-    assert all(list(d) != [full] for d in got[:-1])
-    assert all(d == {full: None} for d in ref[len(got):])
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in ref]
 
 
 def ladder_runs(fam, scen, eps):
     """The frontier runs fptas_max_min makes, and its result, by the
-    reference ladder: the distinct rungs in order, from the first rung whose
-    trial bound is at most min_k c_k up to and including the first rung
-    whose trial bound is at most the best value found so far, which is the
-    limit matrix (every nonzero weight at sat), or whose trial bound is 1.
-    No rung runs when min_k c_k = 0.  The result is the first best over
-    those runs."""
+    reference ladder: the rungs in order, from the first rung whose trial
+    bound is at most min_k c_k up to and including the first rung whose
+    trial bound is at most the best value found so far, which is the limit
+    matrix (every nonzero weight at sat), or whose trial bound is 1.  No
+    rung runs when min_k c_k = 0.  The result is the first best over those
+    runs."""
     rungs, sat, trials = oracles.ref_fptas_ladder(fam, scen, eps)
-    low = min(oracles.brute_opt(fam, s) for s in scen.scenarios)
+    low = min(oracles.left_scan_opt(fam, s) for s in scen.scenarios)
     limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
     runs = []
     best = ((), 0)
     for trial, rung in zip(trials, rungs):
         if trial > low:
             continue
-        if not runs or rung != runs[-1]:
-            runs.append(rung)
-            members, value = oracles.ref_fptas_run(fam, scen, rung, sat)
-            if value > best[1]:
-                best = (members, value)
+        runs.append(rung)
+        members, value = oracles.ref_fptas_run(fam, scen, rung, sat)
+        if value > best[1]:
+            best = (members, value)
         if trial <= best[1] or rung == limit or trial == 1:
             break
     return runs, best
@@ -1119,7 +1135,7 @@ class TestFrontierEngine:
                 for sat in (None, rng.randint(1, 10)):
                     levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
                     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-                    assert_reference_prefix(levels, order, preds, columns, ref, sat)
+                    assert_reference_levels(levels, order, preds, columns, ref, sat)
 
     def test_exact_solvers_match_reference_tie_breaks(self):
         rng = random.Random(4242)
@@ -1203,10 +1219,11 @@ class TestFrontierEngine:
             ties += saturated_take_ties(fam, columns, sat)
         assert ties > 0 or k == 1
 
-    def test_ladder_runs_once_per_distinct_scaled_matrix(self, frontier_runs):
-        # the runs are the ladder's distinct matrices in order, from the
-        # first rung at most min_k c_k up to the first rung whose trial
-        # bound is at most the best value found
+    def test_ladder_runs_the_served_rungs_in_order(self, frontier_runs):
+        # the runs are the ladder's matrices in order, from the first rung
+        # at most min_k c_k up to the first rung whose trial bound is at
+        # most the best value found; on these instances no run repeats the
+        # matrix of an earlier one
         runs = frontier_runs
         rng = random.Random(4444)
         rungs_total = distinct_total = runs_total = 0
@@ -1263,7 +1280,7 @@ class TestFrontierEngine:
             )
             levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
             ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-            assert_reference_prefix(levels, order, preds, columns, ref, sat)
+            assert_reference_levels(levels, order, preds, columns, ref, sat)
             vecs = levels
             if [(sat,) * k] in vecs:
                 first = vecs.index([(sat,) * k])
@@ -1271,12 +1288,39 @@ class TestFrontierEngine:
                 single += any(len(v) == 1 for v in vecs[1:first])
         assert early >= 20 and single >= 20
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 20), st.integers(1, 20), st.integers(1, 30),
+        st.integers(1, 10**6), st.data(),
+    )
+    def test_limit_stop_is_one_integer_comparison(self, p, q, n, trial, data):
+        # fptas_max_min ends its ladder at cut <= smallest, cut the least
+        # weight its scaling sends to sat and smallest the least nonzero
+        # weight: exactly where the reference scaling gives the limit matrix,
+        # every nonzero weight at sat and every zero at 0
+        e = Fraction(p, q)
+        sat_num = 2 * n * (1 + e) / e
+        sat = -((-sat_num.numerator) // sat_num.denominator)
+        num, den = p * trial, n * (p + q)
+        cut = -(-sat * num // den)
+        weight = st.sampled_from([0, 1, cut - 1, cut, cut + 1]) | st.integers(0, 3 * cut)
+        columns = data.draw(st.lists(
+            st.lists(weight, min_size=1, max_size=6), min_size=1, max_size=3
+        ))
+        nonzero = [w for col in columns for w in col if w]
+        assume(nonzero)
+        t = e * trial / (n * (1 + e))
+        scaled = [[min(w * t.denominator // t.numerator, sat) for w in col] for col in columns]
+        assert scaled == [[w * den // num if w < cut else sat for w in col] for col in columns]
+        limit = [[sat if w else 0 for w in col] for col in columns]
+        assert (cut <= min(nonzero)) == (scaled == limit)
+
     def test_fptas_on_long_ladders_matches_reference(self, frontier_runs):
         # weights up to 10**6 give ladders of about 20 rungs, most of them
-        # ending at (sat, sat); the runs are the distinct matrices of the
-        # rungs at most min_k c_k, in order up to the first rung whose trial
-        # bound is at most the best value found, which comes before the
-        # limit matrix and V = 1 on most
+        # ending at (sat, sat); the runs are the matrices of the rungs at
+        # most min_k c_k, in order up to the first rung whose trial bound is
+        # at most the best value found, which comes before the limit matrix
+        # and V = 1 on most
         runs = frontier_runs
         rng = random.Random(4700)
         ended_early = stopped = 0
@@ -1291,7 +1335,7 @@ class TestFrontierEngine:
             served = [r for t, r in zip(trials, rungs) if t <= low]
             distinct = [r for i, r in enumerate(served) if i == 0 or r != served[i - 1]]
             assert (runs, result) == ladder_runs(fam, scen, eps)
-            assert runs == distinct[: len(runs)]
+            assert runs == served[: len(runs)]
             stopped += len(runs) < len(distinct)
             limit = [[sat if w else 0 for w in s] for s in scen.scenarios]
             ended_early += limit in rungs[:-1]
@@ -1328,7 +1372,7 @@ def pack(vec, bits):
 def assert_levels_match_reference(fam, columns, sat=None):
     levels, order, preds = decoded_frontier_levels(fam, columns, 10**6, sat=sat)
     ref, _, _ = oracles.ref_frontier_levels(fam, columns, 10**6, sat=sat)
-    assert_reference_prefix(levels, order, preds, columns, ref, sat)
+    assert_reference_levels(levels, order, preds, columns, ref, sat)
 
 
 class TestPackedVectors:
@@ -1490,10 +1534,10 @@ class TestDecoderAndK2Saturation:
         assert decoded > 100
 
     def test_every_k2_level_is_a_strict_staircase(self):
-        # levels built by the prune after a saturation, shifted levels kept
-        # as they are, and the lone (sat, sat) level that ends a run
+        # levels built by the prune after a saturation, and shifted levels
+        # kept as they are
         rng = random.Random(5400)
-        kinds = {"saturated": 0, "shortcut": 0, "cut_off": 0}
+        kinds = {"saturated": 0, "shortcut": 0}
         for _ in range(60):
             fam, scen = random_discrete(rng, max_n=14, max_k=1, w_max=1)
             sat = rng.randint(1, 8)
@@ -1515,9 +1559,6 @@ class TestDecoderAndK2Saturation:
                         kinds["saturated"] += 1
                     elif preds[pos - 1] == pos - 1:
                         kinds["shortcut"] += 1
-                if s is not None and len(levels) <= len(fam):
-                    assert robust._unpack(levels[-1], 2, bits) == [(s, s)]
-                    kinds["cut_off"] += 1
         assert min(kinds.values()) >= 20, kinds
 
     @pytest.mark.parametrize("k", [1, 2])
