@@ -10,7 +10,6 @@ exits 2 on bad usage).
 from __future__ import annotations
 
 import argparse
-import functools
 import random
 import sys
 import time
@@ -604,15 +603,6 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give parser the arguments of command `name`, and route it to its handler."""
-    command = COMMANDS[name]
-    for names, options in command.arguments:
-        parser.add_argument(*names, **options)
-    parser.set_defaults(func=command.handler, command=name)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full `rwis` tree: every command as a subparser."""
     parser = argparse.ArgumentParser(
@@ -621,38 +611,98 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=command.help), name)
+        subparser = sub.add_parser(name, help=command.help)
+        for names, options in command.arguments:
+            subparser.add_argument(*names, **options)
+        subparser.set_defaults(func=command.handler, command=name)
     return parser
 
 
-@functools.cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full tree for None, else a parser of that command's arguments alone.
+def _plain_args(command: str, argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser().parse_args([command, *argv]) gives, built
+    from COMMANDS without a parser, if the line is plain; else None.
 
-    Building a parser costs more than parsing a command line, and parse_args
-    leaves the parser unchanged, so a process builds each one once.  A
-    command's parser is named `rwis <command>`, as its subparser in the full
-    tree is, so its help and errors read the same.
+    A line is plain when `command` is a key of COMMANDS and every token of
+    argv is one of three things: an option string of the command, written
+    out in full and given at most once; the value after a non-flag option;
+    or a positional, with no more positionals than the command defines.  A
+    value or positional does not start with '-', converts under its `type`
+    and lies in its `choices`.  Every positional and every required option
+    is there.  argparse reads such a line the same way:
+
+    - the subparsers action takes `command` and parses argv with the
+      command's subparser, whose Namespace it copies onto the top-level
+      one, which holds only `command`;
+    - an exact option string is matched before prefix matching, and a token
+      that does not start with '-' is always consumed as an argument, so an
+      option takes the one token after it (a store_true flag none) and the
+      other tokens fill the positionals in order;
+    - `type` and then `choices` are applied as _get_values applies them;
+    - defaults are set in action order, False for a store_true option and
+      None for an option without a default, then func and command from
+      set_defaults.
+
+    Everything else (-h, '--', '-', abbreviations, '--x=y', repeats,
+    negative-looking values and every error) is left to argparse, the only
+    source of help, usage and error text.
     """
-    if command is None:
-        return build_parser()
-    return _add_command(argparse.ArgumentParser(prog=f"rwis {command}"), command)
+    entry = COMMANDS.get(command)
+    if entry is None:
+        return None
+    args = argparse.Namespace(command=command)
+    options, positionals, required = {}, [], set()
+    for names, spec in entry.arguments:
+        flag = spec.get("action") == "store_true"
+        long = [name for name in names if name.startswith("--")]
+        dest = (long or names)[0].lstrip("-").replace("-", "_")
+        setattr(args, dest, spec.get("default", False if flag else None))
+        if not names[0].startswith("-"):
+            positionals.append((dest, spec))
+            continue
+        options.update(dict.fromkeys(names, (dest, spec)))
+        if spec.get("required"):
+            required.add(dest)
+    seen, filled, tokens = set(), 0, iter(argv)
+    for token in tokens:
+        if token in options:
+            dest, spec = options[token]
+            if dest in seen:
+                return None
+            seen.add(dest)
+            if spec.get("action") == "store_true":
+                setattr(args, dest, True)
+                continue
+            token = next(tokens, "-")  # a missing value is argparse's error
+        elif filled < len(positionals):
+            dest, spec = positionals[filled]
+            filled += 1
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        convert, choices = spec.get("type"), spec.get("choices")
+        try:
+            value = token if convert is None else convert(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    if filled < len(positionals) or not required <= seen:
+        return None
+    args.func = entry.handler
+    return args
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The Namespace build_parser().parse_args(argv) gives, or its exit.
 
-    A command line that starts with a command name is parsed by that
-    command's parser alone.  Everything else, and a command line that leaves
-    arguments over, goes to the full tree, which prints the top-level help,
-    the top-level usage and its "unrecognized arguments" error.
+    A plain command line (see _plain_args) builds no parser; every other
+    line is parsed by a fresh full tree.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _parser().parse_args(argv)
+    args = _plain_args(argv[0], argv[1:]) if argv else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -1029,6 +1030,23 @@ def parsed(capsys, parse, argv):
     return code, captured.out, captured.err, namespace
 
 
+def built_parsers(monkeypatch):
+    """A list that gets the prog of every ArgumentParser built from now on."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return progs
+
+
+# the parsers one build_parser() call builds
+FULL_TREE = ["rwis", *(f"rwis {name}" for name in cli.COMMANDS)]
+
+
 def ran(capsys, argv):
     """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
     try:
@@ -1042,8 +1060,8 @@ def ran(capsys, argv):
 TIGHT_K2 = str(GOLDEN / "tight_k2.json")
 SOLVE_TIGHT_K2 = ("solve", TIGHT_K2, "--problem", "regret", "--algorithm", "fptas")
 
-# (id, exit code, command line), 0 for a parse or --help: every route through
-# the per-command parsers and back to the full tree
+# (id, exit code, command line), 0 for a parse or --help: plain lines, which
+# build no parser, and each reason a line goes to the full tree
 PARSED = [
     ("top-help", 0, ("-h",)),
     ("top-long-help", 0, ("--help",)),
@@ -1085,7 +1103,21 @@ PARSED = [
      ("bench", str(GOLDEN), "--problem", "regret", "--algorithms", "exact", "--epsilon", "q")),
     ("selfcheck", 0, ("selfcheck", "--seed", "3")),
     ("selfcheck-stray", 2, ("selfcheck", "stray")),
+    ("solve-equals", 0, ("solve", TIGHT_K2, "--problem=det", "--algorithm", "exact")),
+    ("solve-repeated-option", 0, (*SOLVE_TIGHT_K2, "--problem", "det")),
+    ("solve-repeated-timings", 0, (*SOLVE_TIGHT_K2, "--timings", "--timings")),
+    ("solve-negative-epsilon", 0, (*SOLVE_TIGHT_K2, "--epsilon", "-1")),
+    ("solve-dash-instance", 0, ("solve", "-", "--problem", "det", "--algorithm", "exact")),
+    ("solve-empty-problem", 2, ("solve", TIGHT_K2, "--problem", "", "--algorithm", "exact")),
+    ("evaluate-empty-solution", 0, ("evaluate", TIGHT_K2, "--problem", "det", "--solution", "")),
+    ("solve-options-first", 0, ("solve", "--problem", "regret", "--algorithm", "fptas", TIGHT_K2)),
 ]
+
+# the ids of the PARSED rows that are plain: cli._plain_args parses them
+PLAIN = {
+    "solve", "evaluate", "generate", "bench", "selfcheck",
+    "evaluate-empty-solution", "solve-options-first",
+}
 
 
 class TestParserPerProcess:
@@ -1111,35 +1143,33 @@ class TestParserPerProcess:
             *rest,
         ]
 
-    @pytest.mark.parametrize(
-        "code, argv", [row[1:] for row in PARSED], ids=[row[0] for row in PARSED]
-    )
-    def test_per_command_route_parses_as_the_full_tree(self, capsys, monkeypatch, code, argv):
+    @pytest.mark.parametrize("name, code, argv", PARSED, ids=[row[0] for row in PARSED])
+    def test_per_command_route_parses_as_the_full_tree(
+        self, capsys, monkeypatch, name, code, argv
+    ):
         monkeypatch.setenv("COLUMNS", "80")
-        cli._parser.cache_clear()
+        built = built_parsers(monkeypatch)
         routed = parsed(capsys, cli._parse_args, argv)
-        if routed[3] is not None:  # parsed without the full tree
-            assert cli._parser.cache_info().currsize == 1
+        # a plain row builds no parser, any other row one full tree
+        assert built == ([] if name in PLAIN else FULL_TREE)
         assert routed[0] == code
         assert routed == parsed(capsys, cli.build_parser().parse_args, argv)
 
-    def test_one_parser_serves_every_call(self, capsys):
-        cli._parser.cache_clear()
+    def test_plain_solves_build_no_parser(self, capsys, monkeypatch):
+        built = built_parsers(monkeypatch)
         for solve in self.SOLVES:
             assert run(capsys, *self.solve_argv(*solve))[0] == 0
-        info = cli._parser.cache_info()
-        assert (info.misses, info.hits) == (1, len(self.SOLVES) - 1)
-        assert cli._parser("solve").prog == "rwis solve"
+        assert built == []
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_each_command_builds_its_own_parser(self, capsys):
-        cli._parser.cache_clear()
-        assert run(capsys, *self.solve_argv(*self.SOLVES[0]))[0] == 0
-        code, out, _ = run(capsys, "evaluate", TIGHT_K2, "--problem", "regret", "--solution", "2,3")
+    def test_every_other_line_builds_one_full_tree(self, capsys, monkeypatch):
+        built = built_parsers(monkeypatch)
+        solve = ["solve", TIGHT_K2, "--problem=regret", "--algorithm=fptas", "--epsilon=0.5"]
+        assert run(capsys, *solve)[0] == 0
+        assert run(capsys, *solve)[0] == 0
+        code, out, _ = run(capsys, "evaluate", TIGHT_K2, "--prob", "regret", "--solution", "2,3")
         assert code == 0 and "evaluate" in out
-        info = cli._parser.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
-        assert cli._parser("solve") is not cli._parser("evaluate")
+        assert built == FULL_TREE * 3
 
     def test_top_level_help_lists_every_command(self, capsys):
         code, out, err = ran(capsys, ["--help"])
@@ -1149,8 +1179,6 @@ class TestParserPerProcess:
             assert re.search(rf"^    {name} +{re.escape(command.help)}$", out, re.M)
 
     def test_repeated_calls_print_the_same_bytes(self, capsys):
-        cli._parser.cache_clear()
-
         def exits(*argv):
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
@@ -1239,7 +1267,7 @@ class TestEveryOptionIsRead:
         defined, reads = set(), set()
         for argv in READ_BY[command]:
             argv = [a.format(out=tmp_path / "g.json", dir=tmp_path / "in") for a in argv]
-            args = cli._parser(command).parse_args(argv[1:])
+            args = cli.build_parser().parse_args(argv)
             recording = RecordingNamespace(**vars(args))
             assert args.func(recording) == 0
             defined |= set(vars(args)) - {"func", "command"}
@@ -1264,3 +1292,107 @@ class TestEveryOptionIsRead:
         assert (code, out) == (2, "")
         assert err.endswith(f"rwis: error: unrecognized arguments: {' '.join(flag)}\n")
         assert not target.exists()
+
+
+def _valid_value(rng, spec):
+    """A value the option with add_argument options `spec` accepts."""
+    if spec.get("choices"):
+        return rng.choice(spec["choices"])
+    return rng.choice({
+        int: ("0", "3", "12"), float: ("0.25", "1"), cli._epsilon_arg: ("0.5", "1/3", "inf"),
+    }.get(spec.get("type"), ("x.json", "1,2", "-")))
+
+
+def _vocabulary(command):
+    """Tokens a random `command` line is drawn from: its option strings and
+    their prefixes, its choices, '--x=y', '--', '-h', '-', '', numbers,
+    negative numbers and bad values."""
+    tokens = ["--", "-h", "--help", "-", "", "--bogus", "0", "7", "0.5", "1/3", "inf",
+              "-1", "-0.5", "-x", "abc", "1,2", "x.json"]
+    for names, spec in cli.COMMANDS[command].arguments:
+        if names[0].startswith("-"):
+            name = names[0]
+            tokens += [name, name, name[:4], name[:-1], f"{name}=3", f"{name}=table"]
+            tokens += spec.get("choices", ())
+    return tokens
+
+
+def _random_line(rng, command):
+    """A random line of `command`: a well-formed one, in random order, with
+    0 to 3 tokens then inserted, dropped or replaced."""
+    groups = []
+    for names, spec in cli.COMMANDS[command].arguments:
+        if not names[0].startswith("-"):
+            groups.append([rng.choice(("x.json", "dir", ""))])
+        elif spec.get("required") or rng.random() < 0.4:
+            flag = spec.get("action") == "store_true"
+            groups.append([names[0]] if flag else [names[0], _valid_value(rng, spec)])
+    rng.shuffle(groups)
+    line = [token for group in groups for token in group]
+    vocabulary = _vocabulary(command)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        at = rng.randint(0, len(line))
+        edit = rng.choice(("insert", "drop", "replace"))
+        if edit != "insert" and at < len(line):
+            del line[at]
+        if edit != "drop":
+            line.insert(at, rng.choice(vocabulary))
+    return [command, *line]
+
+
+# the call shapes of the benchmark's workloads
+WORKLOADS = TESTS.parent / "bench" / "workloads.py"
+
+
+def _workload_lines(monkeypatch, path):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [
+        call.argv(path) for workload in workloads.WORKLOADS.values() for call in workload.calls
+    ]
+
+
+class TestPlainLines:
+    LINES_PER_COMMAND = 150
+
+    def test_random_lines_parse_as_the_full_tree(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(2025)
+        plain = dict.fromkeys(cli.COMMANDS, 0)
+        for command in cli.COMMANDS:
+            for _ in range(self.LINES_PER_COMMAND):
+                argv = _random_line(rng, command)
+                routed = parsed(capsys, cli._parse_args, argv)
+                expected = parsed(capsys, cli.build_parser().parse_args, argv)
+                assert routed == expected, argv
+                if routed[3] is not None:  # the same attributes in the same order
+                    assert list(routed[3]) == list(expected[3]), argv
+                plain[command] += cli._plain_args(argv[0], argv[1:]) is not None
+        # neither route is left untested for any command
+        assert all(10 <= count <= self.LINES_PER_COMMAND - 10 for count in plain.values()), plain
+
+    def test_benchmark_and_handler_lines_never_reach_argparse(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        solves = [TestParserPerProcess.solve_argv(*solve) for solve in TestParserPerProcess.SOLVES]
+        workload_lines = _workload_lines(monkeypatch, TIGHT_K2)
+        assert {argv[0] for argv in workload_lines} == {"solve"}
+        lines = workload_lines + solves + [
+            [token.format(out=tmp_path / "g.json", dir=tmp_path) for token in argv]
+            for argvs in READ_BY.values() for argv in argvs
+        ]
+        expected = [vars(cli.build_parser().parse_args(argv)) for argv in lines]
+        printed = []
+        for argv in solves:
+            args = cli.build_parser().parse_args(argv)
+            printed.append((args.func(args), *capsys.readouterr()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain line built an argparse parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert [vars(cli._parse_args(argv)) for argv in lines] == expected
+        assert [run(capsys, *argv) for argv in solves] == printed

@@ -228,8 +228,8 @@ TIED_SCEN = DiscreteScenarioSet(
 
 
 class TestScenarioOptima:
-    def test_only_interval_preparation_and_parsers_are_cached(self):
-        assert _functools_caches() == {"core._prepared", "cli._parser"}
+    def test_only_interval_preparation_is_cached(self):
+        assert _functools_caches() == {"core._prepared"}
 
     @pytest.mark.parametrize(
         "solve",
