@@ -1162,7 +1162,7 @@ class TestParserPerProcess:
         assert built == []
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_every_other_line_builds_one_full_tree(self, capsys, monkeypatch):
+    def test_a_line_argparse_parses_builds_one_full_tree(self, capsys, monkeypatch):
         built = built_parsers(monkeypatch)
         solve = ["solve", TIGHT_K2, "--problem=regret", "--algorithm=fptas", "--epsilon=0.5"]
         assert run(capsys, *solve)[0] == 0
