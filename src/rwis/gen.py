@@ -111,10 +111,8 @@ def has_vertex_cover_within(g: UndirectedGraph, budget: int) -> bool:
 
 
 def vertex_cover_number(g: UndirectedGraph) -> int:
-    for budget in range(g.n_vertices + 1):
-        if has_vertex_cover_within(g, budget):
-            return budget
-    return g.n_vertices
+    # budget n_vertices always passes, so the search stops by then
+    return next(b for b in range(g.n_vertices + 1) if has_vertex_cover_within(g, b))
 
 
 # Largest total has_partition accepts.  Its bitset holds one bit per unit of

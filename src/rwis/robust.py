@@ -302,7 +302,7 @@ def _frontier_levels(
     _saturate scans it.
     """
     cap = resolve_frontier_cap(cap)
-    order, preds = core._prepared(fam)
+    order, preds, _ = core._prepared(fam)
     k = len(columns)
     bits = _field_bits(columns, sat)
     packed = [0] * len(fam)
@@ -558,7 +558,7 @@ def _regret_interval_walk(
         fam, u, core.max_weight_is(fam, scenarios._surrogate_interval(u))[0]
     )
     best_regret, best_members = seed.regret_value, seed.solution
-    order, preds = core._prepared(fam)
+    order, preds, _ = core._prepared(fam)
     low = [u.lower[i] for i in order]
     up = [u.upper[i] for i in order]
     first, rest = core._completions(fam, u.lower)

@@ -134,13 +134,15 @@ def brute_cover_multiplicity(graph, budget):
 
 
 def ref_prepared(fam):
-    """Right-endpoint order and DP predecessors, the plain way: positions
-    sorted by the key (hi, lo, index), and p = bisect_left of each interval's
-    lo in the sorted right endpoints."""
+    """Right-endpoint order, DP predecessors and left-endpoint order, the
+    plain way: positions sorted by the key (hi, lo, index), p = bisect_left
+    of each interval's lo in the sorted right endpoints, and positions sorted
+    by the key (lo, index)."""
     ivs = fam.intervals
     order = tuple(sorted(range(len(ivs)), key=lambda i: (ivs[i].hi, ivs[i].lo, i)))
     his = [ivs[i].hi for i in order]
-    return order, tuple(bisect_left(his, ivs[i].lo) for i in order)
+    by_lo = tuple(sorted(range(len(ivs)), key=lambda i: (ivs[i].lo, i)))
+    return order, tuple(bisect_left(his, ivs[i].lo) for i in order), by_lo
 
 
 def pairwise_independent(fam, members):
@@ -264,7 +266,7 @@ def ref_frontier_levels(fam, columns, cap, sat=None):
     from rwis import core
     from rwis.errors import FrontierCapError
 
-    order, preds = core._prepared(fam)
+    order, preds, _ = core._prepared(fam)
     n = len(fam)
     k = len(columns)
     zero = (0,) * k
@@ -428,7 +430,7 @@ def ref_regret_interval_walk(fam, u):
         fam, u, core.max_weight_is(fam, scenarios._surrogate_interval(u))[0]
     )
     best_regret, best_members = seed.regret_value, seed.solution
-    order, preds = core._prepared(fam)
+    order, preds, _ = core._prepared(fam)
     low = [u.lower[i] for i in order]
     up = [u.upper[i] for i in order]
     first, rest = core._completions(fam, u.lower)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -184,11 +185,18 @@ class TestAdversarialRatio:
         )
 
     @pytest.mark.parametrize(
-        "inst,algorithm",
-        [(gen_tight_k(2), "midpoint"), (gen_tight_midpoint(), "kapprox")],
-        ids=["discrete", "ranges"],
+        "inst,algorithm,line",
+        [
+            (gen_tight_k(2), "midpoint",
+             "algorithm 'midpoint' does not apply to this uncertainty model"),
+            (gen_tight_midpoint(), "kapprox",
+             "algorithm 'kapprox' does not apply to this uncertainty model"),
+            (SimpleNamespace(family=gen_tight_k(2).family, uncertainty=(1, 2)), None,
+             "unknown uncertainty model (1, 2)"),
+        ],
+        ids=["discrete", "ranges", "non-model"],
     )
-    def test_algorithm_mismatch_refused_before_solving(self, monkeypatch, inst, algorithm):
+    def test_algorithm_mismatch_refused_before_solving(self, monkeypatch, inst, algorithm, line):
         calls = []
         for module, name in [
             (core, "max_weight_is"),
@@ -198,8 +206,9 @@ class TestAdversarialRatio:
             (approx, "midpoint_approx_regret"),
         ]:
             monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
-        with pytest.raises(ValidationError, match="does not apply"):
+        with pytest.raises(ValidationError) as info:
             adversarial_ratio(inst.family, inst.uncertainty, algorithm=algorithm)
+        assert str(info.value) == line
         assert calls == []
 
     def test_ratio_bounded_by_guarantee_everywhere(self):

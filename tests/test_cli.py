@@ -356,6 +356,21 @@ class TestExitCodes:
         assert code == 11 and out == ""
         assert err == f"error: value has more than {DIGIT_LIMIT} digits, too many to print\n"
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (("evaluate", str(GOLDEN / "tight_k2.json"), "--problem", "regret",
+              "--solution", "1,x"), "bad solution list '1,x'; expected e.g. '1,3,5'"),
+            (("bench", str(GOLDEN / "tight_k2.json"), "--problem", "regret",
+              "--algorithms", "exact"), f"{GOLDEN / 'tight_k2.json'} is not a directory"),
+            (("bench", str(GOLDEN), "--problem", "regret", "--algorithms", "exact,nope"),
+             "unknown algorithm 'nope'"),
+        ],
+        ids=["evaluate-bad-solution", "bench-of-a-file", "bench-unknown-algorithm"],
+    )
+    def test_handler_refusal_is_a_validation_error(self, capsys, argv, line):
+        assert run(capsys, *argv) == (11, "", f"error: {line}\n")
+
     def test_validation_error(self, capsys, tmp_path):
         doc = {
             "format_version": 1,
@@ -467,6 +482,12 @@ class TestExitCodeTable:
         monkeypatch.setattr(cli, "parse_instance", fail)
         argv = ("solve", TIGHT_K2, "--problem", "det", "--algorithm", "exact")
         assert run(capsys, *argv) == (code, "", "error: boom\n")
+
+    def test_unknown_problem_is_an_unsupported_combination(self):
+        # argparse's choices keep it off the command line; dispatch_solve refuses it
+        with pytest.raises(errors.UnsupportedCombinationError) as info:
+            cli.dispatch_solve(parse_instance(TIGHT_K2), "nope", "exact")
+        assert str(info.value) == "unknown problem 'nope'"
 
 
 class TestTimings:
@@ -722,11 +743,21 @@ GENERATE_REFUSALS = [
     ("vertex-cover-bad-edge", ["vertex-cover", "--n-vertices", "3", "--edges", "x",
                                "--cover-size", "1"],
      "bad edge 'x'; expected 'u-v' pairs like '1-2,2-3'"),
+    ("vertex-cover-no-edges", ["vertex-cover", "--n-vertices", "3", "--edges", "",
+                               "--cover-size", "1"],
+     "graph has no edges; the scenario set would be empty"),
 ]
 
-GENERATE_HELP = """\
+GENERATE_USAGE_HEAD = """\
 usage: rwis generate [-h] --kind
                      {vertex-cover,partition,tight-k,tight-midpoint,random}
+"""
+# 3.13's argparse wraps the usage line before --kind, keeping it with its choices
+GENERATE_USAGE_HEAD_313 = """\
+usage: rwis generate [-h]
+                     --kind {vertex-cover,partition,tight-k,tight-midpoint,random}
+"""
+GENERATE_HELP_BODY = """\
                      --out OUT [--n-vertices N_VERTICES] [--edges EDGES]
                      [--cover-size COVER_SIZE] [--values VALUES] [--k K]
                      [--n N] [--model {discrete,interval}] [--w-max W_MAX]
@@ -749,6 +780,9 @@ options:
   --density DENSITY
   --seed SEED
 """
+GENERATE_HELP = (
+    GENERATE_USAGE_HEAD_313 if sys.version_info >= (3, 13) else GENERATE_USAGE_HEAD
+) + GENERATE_HELP_BODY
 
 
 class TestGenerateRefusals:
@@ -916,11 +950,15 @@ class TestBench:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(robust, name, counting)
-        for algorithms, timings in (("exact,kapprox,midpoint", ()), ("kapprox", ("--timings",))):
+        for algorithms, flags in (
+            ("exact,kapprox,midpoint", ()),
+            ("kapprox", ("--timings",)),
+            ("kapprox,midpoint,exact", ("--adversarial-ties",)),
+        ):
             calls.clear()
             code, out, _ = run(
                 capsys, "bench", str(GOLDEN), "--problem", "regret",
-                "--algorithms", algorithms, *timings,
+                "--algorithms", algorithms, *flags,
             )
             assert code == 0
             assert calls.count("solve_regret_discrete_exact") == 4

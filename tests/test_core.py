@@ -103,6 +103,9 @@ class TestIsIndependent:
         fam = IntervalFamily.from_pairs([(0, 1)])
         with pytest.raises(ValidationError):
             is_independent(fam, {2})
+        with pytest.raises(ValidationError) as info:
+            fam.interval(2)
+        assert str(info.value) == "vertex index 2 out of range 1..1"
 
 
 def tricky_family(rng, n):

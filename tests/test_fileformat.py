@@ -351,9 +351,19 @@ class TestParseLayerErrors:
 
     @pytest.mark.parametrize("depth", [100_000, sys.getrecursionlimit() + 10])
     def test_nesting_deeper_than_the_recursion_limit(self, depth):
-        with pytest.raises(ParseError) as info:
-            parse_instance_text("[" * depth + "]" * depth, source="deep.json")
-        assert str(info.value) == "deep.json: JSON nested too deeply"
+        # From 3.12 json's C scanner is bounded by the C recursion limit, not
+        # sys.getrecursionlimit() (1,497 levels parse on 3.12.1, 9,998 on
+        # 3.13.0), so limit + 10 levels parse and the validator sees a list
+        text = "[" * depth + "]" * depth
+        try:
+            json.loads(text)
+        except RecursionError:
+            expected = ParseError, "deep.json: JSON nested too deeply"
+        else:
+            expected = ValidationError, "instance document must be an object, got list"
+        with pytest.raises(expected[0]) as info:
+            parse_instance_text(text, source="deep.json")
+        assert (type(info.value), str(info.value)) == expected
 
     def test_integer_literal_over_the_digit_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -418,6 +428,8 @@ METADATA = {
 
 WRITER_CASES = {
     **seeded_generator_output(),
+    "random-interval-n3000": gen_random(
+        n=3000, model="interval", w_max=10**6, density=0.5, seed=3),
     "empty-family-ranges": ranges([], []),
     "empty-family-one-empty-scenario": Instance(
         IntervalFamily(()), DiscreteScenarioSet(((),))),

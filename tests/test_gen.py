@@ -82,6 +82,7 @@ class TestGraphTypes:
     def test_partition_values_positive(self):
         with pytest.raises(ValidationError):
             PartitionInput((1, 0))
+        assert PartitionInput([2, 1]).values == (2, 1)
 
     def test_partition_values_refuse_bools(self):
         with pytest.raises(ValidationError, match="got True$"):
@@ -98,6 +99,9 @@ class TestDecisionOracles:
         assert vertex_cover_number(g) == 2
         assert not has_vertex_cover_within(g, 1)
         assert has_vertex_cover_within(g, 2)
+        # a negative budget covers only a graph without edges
+        assert not has_vertex_cover_within(g, -1)
+        assert has_vertex_cover_within(UndirectedGraph.from_edges(3, []), -1)
 
     def test_demo_graph_cover_number(self):
         assert vertex_cover_number(DEMO_GRAPH) == 3

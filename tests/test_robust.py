@@ -77,6 +77,15 @@ def random_small_ranges(rng, max_n):
     return IntervalFamily.from_pairs(pairs), IntervalUncertainty(lower, upper)
 
 
+def golden_discrete():
+    """(family, scenarios) of every discrete golden file, in name order."""
+    return [
+        (inst.family, inst.uncertainty)
+        for inst in map(parse_instance, sorted(golden_defs.GOLDEN_DIR.glob("*.json")))
+        if isinstance(inst.uncertainty, DiscreteScenarioSet)
+    ]
+
+
 def random_discrete(rng, max_n=10, max_k=3, w_max=6):
     inst = gen_random(
         n=rng.randint(1, max_n),
@@ -129,8 +138,8 @@ class TestEvaluators:
 
     def test_interval_preparation_retains_few_families(self):
         # the preparation cache keeps a handful of families, not hundreds:
-        # each n=5000 family and its preparation hold about 0.7 MiB, so 24
-        # kept families would hold about 17 MiB
+        # each n=5000 family and its preparation hold about 0.75 MiB, so 24
+        # kept families would hold about 18 MiB
         rng = random.Random(5)
         weights = tuple(rng.choices(range(10**6 + 1), k=5000))
         core._prepared.cache_clear()
@@ -433,8 +442,13 @@ class TestExactSolvers:
 
     def test_matches_bruteforce_suite(self):
         rng = random.Random(2024)
-        for _ in range(120):
-            fam, scen = random_discrete(rng)
+        cases = [random_discrete(rng) for _ in range(120)]
+        # the goldens, and a 5-cycle's cover gadget: K=5 on the packed K >= 4 frontier
+        cycle = gen_vertex_cover(
+            UndirectedGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 3
+        )
+        cases += [*golden_discrete(), (cycle.family, cycle.uncertainty)]
+        for fam, scen in cases:
             assert (
                 solve_max_min_exact(fam, scen)[1]
                 == solve_max_min_bruteforce(fam, scen)[1]
@@ -852,9 +866,12 @@ class TestFptas:
 
     def test_guarantees_against_exact(self):
         rng = random.Random(909)
-        for _ in range(60):
-            fam, scen = random_discrete(rng, max_k=2, w_max=10)
-            eps = rng.choice([0.25, 0.5, 1.0])
+        cases = [
+            (*random_discrete(rng, max_k=2, w_max=10), rng.choice([0.25, 0.5, 1.0]))
+            for _ in range(60)
+        ]
+        cases += [(fam, scen, eps) for fam, scen in golden_discrete() for eps in FPTAS_EPSILONS]
+        for fam, scen, eps in cases:
             e = Fraction(eps)
             value = fptas_max_min(fam, scen, eps)[1]
             assert Fraction(value) * (1 + e) >= solve_max_min_exact(fam, scen)[1]
@@ -870,11 +887,7 @@ class TestFptas:
         # and meets value * (1+eps) >= opt; some results differ from the
         # full ladder's
         runs = frontier_runs
-        cases = [
-            (inst.family, inst.uncertainty)
-            for inst in map(parse_instance, sorted(golden_defs.GOLDEN_DIR.glob("*.json")))
-            if isinstance(inst.uncertainty, DiscreteScenarioSet)
-        ]
+        cases = golden_discrete()
         rng = random.Random(5300)
         for k in range(1, 5):
             for w_max in (5, 100, 10**6):
@@ -932,6 +945,7 @@ class TestFptas:
         runs = frontier_runs
         fam, scen = ZERO_OPT_CLIQUE
         assert robust._optima(fam, scen) == [10**6, 10**6]
+        assert solve_max_min_exact(fam, scen)[1] == 0
         for eps in FPTAS_EPSILONS:
             runs.clear()
             assert fptas_max_min(fam, scen, eps) == ((), 0)

@@ -36,6 +36,7 @@ class TestTypes:
     def test_scenario_set_needs_a_scenario(self):
         with pytest.raises(ValidationError):
             DiscreteScenarioSet(())
+        assert DiscreteScenarioSet([[1, 2]]).scenarios == ((1, 2),)
 
     def test_scenario_lengths_must_agree(self):
         with pytest.raises(ValidationError):
