@@ -28,7 +28,7 @@ def _surrogate_optima(
     """The surrogate optima a tie mode considers: the DP's one, or all of
     them in lexicographic order (guarded enumeration)."""
     if ties == TIE_CANONICAL:
-        return [core.max_weight_is(fam, surrogate)[0]]
+        return [core._max_weight_is(fam, surrogate)[0]]
     if ties == TIE_ADVERSARIAL:
         return core.max_weight_is_all_optima(fam, surrogate, guard)
     raise ValidationError(f"unknown tie mode {ties!r}")

@@ -78,7 +78,7 @@ def _need_epsilon(r: _Request) -> Fraction | float:
 
 
 def _solve_det(r: _Request) -> tuple[tuple[int, ...], int]:
-    return core.max_weight_is(r.fam, _deterministic_vector(r.instance))
+    return core._max_weight_is(r.fam, _deterministic_vector(r.instance))
 
 
 # (problem, algorithm) -> (entry for discrete scenarios, entry for weight

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import attrgetter, le
+from operator import attrgetter, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, ValidationError
@@ -199,14 +199,22 @@ def _nonnegative_ints(values: Iterable[int], not_int: str, negative: str) -> tup
     """The values as a tuple of nonnegative ints, else a ValidationError for
     the first bad entry: `not_int` or `negative` formatted with that entry."""
     out = tuple(values)
-    if not out or (_all_ints(out) and min(out) >= 0):
-        return out
+    if _all_ints(out):
+        return _nonnegative(out, negative)
     for x in out:
         if not _is_int(x):
             raise ValidationError(not_int.format(x))
         if x < 0:
             raise ValidationError(negative.format(x))
     return out
+
+
+def _nonnegative(values: tuple[int, ...], negative: str) -> tuple[int, ...]:
+    """_nonnegative_ints for values whose entries are already ints: only the
+    sign is checked, with the same message for the first negative entry."""
+    if values and min(values) < 0:
+        raise ValidationError(negative.format(next(x for x in values if x < 0)))
+    return values
 
 
 def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:
@@ -235,8 +243,10 @@ def is_independent(fam: IntervalFamily, members: Iterable[int]) -> bool:
 def _is_independent(fam: IntervalFamily, idx: tuple[int, ...]) -> bool:
     """is_independent for indices check_members has already validated."""
     los, his = fam._los, fam._his
-    ivs = sorted((los[i - 1], his[i - 1]) for i in idx)
-    return all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ivs, ivs[1:]))
+    # by left endpoint, each interval must end before the next one starts;
+    # two members with equal left endpoints overlap in either order
+    ids = sorted(map(sub, idx, repeat(1)), key=los.__getitem__)
+    return all(map(lt, map(his.__getitem__, ids), map(los.__getitem__, ids[1:])))
 
 
 # Families whose preparation is kept: a solve works on one family, and each
@@ -359,10 +369,12 @@ def _best_prefixes(fam: IntervalFamily, w: Sequence[int]) -> list[int]:
     order, preds, _ = _prepared(fam)
     best = [0]
     append = best.append
+    top = 0
     for p, i in zip(preds, order):
         take = best[p] + w[i]
-        skip = best[-1]
-        append(take if take > skip else skip)
+        if take > top:
+            top = take
+        append(top)
     return best
 
 
@@ -378,7 +390,12 @@ def max_weight_is(
 
     Returns (members, value) with members a sorted tuple of 1-based indices.
     """
-    w = check_weights(len(fam), weights)
+    return _max_weight_is(fam, check_weights(len(fam), weights))
+
+
+def _max_weight_is(fam: IntervalFamily, w: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """max_weight_is for weights check_weights has already validated, such
+    as a constructor-checked model column of the family's size."""
     best = _best_prefixes(fam, w)
     order, preds, _ = _prepared(fam)
     members = []

@@ -116,8 +116,8 @@ def instance_from_dict(doc: dict) -> Instance:
         rows = unc.get("scenarios")
         if not isinstance(rows, list) or not rows:
             raise ValidationError("discrete uncertainty needs a non-empty scenarios list")
-        uncertainty: DiscreteScenarioSet | IntervalUncertainty = DiscreteScenarioSet(
-            tuple(tuple(_require_int_list(r, "scenario")) for r in rows)
+        uncertainty: DiscreteScenarioSet | IntervalUncertainty = (
+            DiscreteScenarioSet._from_columns([_require_int_list(r, "scenario") for r in rows])
         )
     elif kind == "interval":
         extra = set(unc) - {"type", "lower", "upper"}
@@ -125,9 +125,9 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValidationError(f"unknown uncertainty fields: {sorted(extra)}")
         if "lower" not in unc or "upper" not in unc:
             raise ValidationError("interval uncertainty needs 'lower' and 'upper' lists")
-        uncertainty = IntervalUncertainty(
-            tuple(_require_int_list(unc["lower"], "lower")),
-            tuple(_require_int_list(unc["upper"], "upper")),
+        uncertainty = IntervalUncertainty._from_columns(
+            _require_int_list(unc["lower"], "lower"),
+            _require_int_list(unc["upper"], "upper"),
         )
     else:
         raise ValidationError(f"unknown uncertainty type {kind!r}")

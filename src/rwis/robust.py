@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 from . import core, scenarios
 from .core import IntervalFamily, _require_same_size, check_members
 from .errors import FrontierCapError, ValidationError
-from .scenarios import DiscreteScenarioSet, IntervalUncertainty, worst_case_scenario
+from .scenarios import DiscreteScenarioSet, IntervalUncertainty, _worst_case_scenario
 
 DEFAULT_FRONTIER_CAP = 5_000_000
 FRONTIER_CAP_ENV_VAR = "RWIS_FRONTIER_CAP"
@@ -61,12 +61,18 @@ def weight_under(members: Iterable[int], scenario: Sequence[int]) -> int:
 def opt_weight(fam: IntervalFamily, scenario: Iterable[int]) -> int:
     """Weight of a maximum-weight independent set under one scenario: the
     value max_weight_is returns, without its witness backtrack."""
-    return core._best_prefixes(fam, core.check_weights(len(fam), scenario))[-1]
+    return _opt_weight(fam, core.check_weights(len(fam), scenario))
+
+
+def _opt_weight(fam: IntervalFamily, w: Sequence[int]) -> int:
+    """opt_weight for weights check_weights has already validated."""
+    return core._best_prefixes(fam, w)[-1]
 
 
 def _optima(fam: IntervalFamily, scen: DiscreteScenarioSet) -> list[int]:
-    """The optimum c_k under each scenario: the constants of one regret solve."""
-    return [opt_weight(fam, s) for s in scen.scenarios]
+    """The optimum c_k under each scenario: the constants of one regret solve.
+    The caller has checked that scen covers fam's vertices."""
+    return [_opt_weight(fam, s) for s in scen.scenarios]
 
 
 def _regret_report(
@@ -123,8 +129,8 @@ def max_regret_interval(
     """
     _require_same_size(fam, u.n)
     idx = _checked_solution(fam, members)
-    sx = worst_case_scenario(u, idx)
-    regret = opt_weight(fam, sx) - sum(sx[i - 1] for i in idx)
+    sx = _worst_case_scenario(u, idx)
+    regret = _opt_weight(fam, sx) - sum(sx[i - 1] for i in idx)
     return RegretReport(idx, regret, sx)
 
 
@@ -137,7 +143,7 @@ def solve_max_min_interval(
     the problem reduces to one deterministic solve on the lower bounds.
     """
     _require_same_size(fam, u.n)
-    return core.max_weight_is(fam, u.lower)
+    return core._max_weight_is(fam, u.lower)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ def solve_regret_interval_bruteforce(
 
     def regret(item: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         members, (low,) = item
-        return opt_weight(fam, worst_case_scenario(u, members)) - low
+        return _opt_weight(fam, _worst_case_scenario(u, members)) - low
 
     sets = core._sets_with_sums(fam, (u.lower,), guard)
     members, _ = min(sets, key=regret)  # min keeps the first tie
@@ -542,7 +548,7 @@ def solve_regret_interval_exact(
     _require_same_size(fam, u.n)
     core._check_enumeration_guard(len(fam), guard)
     members, regret, _ = _regret_interval_walk(fam, u)
-    return RegretReport(members, regret, worst_case_scenario(u, members))
+    return RegretReport(members, regret, _worst_case_scenario(u, members))
 
 
 def _regret_interval_walk(
@@ -555,7 +561,7 @@ def _regret_interval_walk(
     """
     n = len(fam)
     seed = max_regret_interval(
-        fam, u, core.max_weight_is(fam, scenarios._surrogate_interval(u))[0]
+        fam, u, core._max_weight_is(fam, scenarios._surrogate_interval(u))[0]
     )
     best_regret, best_members = seed.regret_value, seed.solution
     order, preds, _ = core._prepared(fam)
@@ -711,7 +717,7 @@ def fptas_regret_discrete(
     n = len(fam)
     consts = _optima(fam, scen)
     base = _regret_report(
-        scen, consts, core.max_weight_is(fam, scenarios._surrogate_discrete(scen))[0]
+        scen, consts, core._max_weight_is(fam, scenarios._surrogate_discrete(scen))[0]
     )
     if base.regret_value == 0 or n == 0:
         return base

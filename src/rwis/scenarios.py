@@ -12,31 +12,56 @@ from operator import add, le
 from typing import Iterable, Iterator
 
 from .core import (
-    IntervalFamily, _is_int, _nonnegative_ints, _require_same_size, check_members, resolve_guard
+    IntervalFamily,
+    _is_int,
+    _nonnegative,
+    _nonnegative_ints,
+    _require_same_size,
+    check_members,
+    resolve_guard,
 )
 from .errors import GuardError, ValidationError
 
 DEFAULT_EXTREME_GUARD = 12
 
 
+def _negative(what: str) -> str:
+    return f"{what} must be nonnegative, got {{}}"
+
+
 def _check_vector(v: Iterable[int], what: str) -> tuple[int, ...]:
-    return _nonnegative_ints(
-        v, f"{what} must contain integers, got {{!r}}", f"{what} must be nonnegative, got {{}}"
-    )
+    return _nonnegative_ints(v, f"{what} must contain integers, got {{!r}}", _negative(what))
+
+
+def _check_signs(v: Iterable[int], what: str) -> tuple[int, ...]:
+    """_check_vector for entries that are already ints."""
+    return _nonnegative(tuple(v), _negative(what))
 
 
 @dataclass(frozen=True)
 class DiscreteScenarioSet:
-    """K explicitly given weight vectors over the same n vertices (K >= 1)."""
+    """K explicitly given weight vectors over the same n vertices (K >= 1).
+
+    `_from_columns` builds one from int lists without the per-entry type
+    scan; the file reader uses it, having checked every entry's type.
+    """
 
     scenarios: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenarios, tuple):
-            object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if len(self.scenarios) < 1:
+        self._set_rows(tuple(_check_vector(s, "scenario weights") for s in self.scenarios))
+
+    @classmethod
+    def _from_columns(cls, rows: Iterable[Iterable[int]]) -> "DiscreteScenarioSet":
+        """Scenario set from weight columns whose entries are all ints: the
+        sign and length checks of the constructor, with its messages."""
+        scen = cls.__new__(cls)
+        scen._set_rows(tuple(_check_signs(s, "scenario weights") for s in rows))
+        return scen
+
+    def _set_rows(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not rows:
             raise ValidationError("a discrete scenario set needs at least one scenario")
-        rows = tuple(_check_vector(s, "scenario weights") for s in self.scenarios)
         object.__setattr__(self, "scenarios", rows)
         lengths = {len(s) for s in rows}
         if len(lengths) > 1:
@@ -53,14 +78,31 @@ class DiscreteScenarioSet:
 
 @dataclass(frozen=True)
 class IntervalUncertainty:
-    """Per-vertex weight range [lower[i], upper[i]]; 0 <= lower <= upper."""
+    """Per-vertex weight range [lower[i], upper[i]]; 0 <= lower <= upper.
+
+    `_from_columns` builds one from int lists without the per-entry type
+    scan; the file reader uses it, having checked every entry's type.
+    """
 
     lower: tuple[int, ...]
     upper: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lo = _check_vector(self.lower, "lower bounds")
-        up = _check_vector(self.upper, "upper bounds")
+        self._set_bounds(
+            _check_vector(self.lower, "lower bounds"), _check_vector(self.upper, "upper bounds")
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, lower: Iterable[int], upper: Iterable[int]
+    ) -> "IntervalUncertainty":
+        """Ranges from bound columns whose entries are all ints: the sign,
+        length and lower <= upper checks of the constructor, with its messages."""
+        u = cls.__new__(cls)
+        u._set_bounds(_check_signs(lower, "lower bounds"), _check_signs(upper, "upper bounds"))
+        return u
+
+    def _set_bounds(self, lo: tuple[int, ...], up: tuple[int, ...]) -> None:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         if len(lo) != len(up):
@@ -123,9 +165,14 @@ def worst_case_scenario(
     Members of the solution sit at their lower bound, everything else at its
     upper bound.  This scenario attains the solution's maximal regret.
     """
+    return _worst_case_scenario(u, check_members(u.n, members))
+
+
+def _worst_case_scenario(u: IntervalUncertainty, idx: Iterable[int]) -> tuple[int, ...]:
+    """worst_case_scenario for indices check_members has already validated."""
     scenario = list(u.upper)
     lower = u.lower
-    for i in check_members(u.n, members):
+    for i in idx:
         scenario[i - 1] = lower[i - 1]
     return tuple(scenario)
 

@@ -82,7 +82,7 @@ class TestKApprox:
 
     def test_refusals_come_before_any_scenario_optimum(self, monkeypatch):
         inst = gen_random(n=21, model="discrete", k=2, w_max=5, density=0.5, seed=1)
-        monkeypatch.setattr(robust, "opt_weight", lambda *a: pytest.fail("solved"))
+        monkeypatch.setattr(robust, "_opt_weight", lambda *a: pytest.fail("solved"))
         with pytest.raises(GuardError):
             k_approx_regret(inst.family, inst.uncertainty, ties="adversarial")
         with pytest.raises(ValidationError, match="unknown tie mode"):

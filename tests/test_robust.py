@@ -262,13 +262,13 @@ class TestScenarioOptima:
         fam, scen = inst.family, inst.uncertainty
         expected = solve(fam, scen)
         seen = []
-        real = robust.opt_weight
+        real = robust._opt_weight
 
         def spy(fam, scenario):
             seen.append(scenario)
             return real(fam, scenario)
 
-        monkeypatch.setattr(robust, "opt_weight", spy)
+        monkeypatch.setattr(robust, "_opt_weight", spy)
         assert solve(fam, scen) == expected
         assert seen == list(scen.scenarios)
 
