@@ -40,11 +40,7 @@ def _check_signs(v: Iterable[int], what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DiscreteScenarioSet:
-    """K explicitly given weight vectors over the same n vertices (K >= 1).
-
-    `_from_columns` builds one from int lists without the per-entry type
-    scan; the file reader uses it, having checked every entry's type.
-    """
+    """K explicitly given weight vectors over the same n vertices (K >= 1)."""
 
     scenarios: tuple[tuple[int, ...], ...]
 
@@ -53,8 +49,9 @@ class DiscreteScenarioSet:
 
     @classmethod
     def _from_columns(cls, rows: Iterable[Iterable[int]]) -> "DiscreteScenarioSet":
-        """Scenario set from weight columns whose entries are all ints: the
-        sign and length checks of the constructor, with its messages."""
+        """Scenario set from weight columns whose entries are all ints, as
+        the file reader has checked: the constructor without its per-entry
+        type scan, with the same messages."""
         scen = cls.__new__(cls)
         scen._set_rows(tuple(_check_signs(s, "scenario weights") for s in rows))
         return scen
@@ -78,11 +75,7 @@ class DiscreteScenarioSet:
 
 @dataclass(frozen=True)
 class IntervalUncertainty:
-    """Per-vertex weight range [lower[i], upper[i]]; 0 <= lower <= upper.
-
-    `_from_columns` builds one from int lists without the per-entry type
-    scan; the file reader uses it, having checked every entry's type.
-    """
+    """Per-vertex weight range [lower[i], upper[i]]; 0 <= lower <= upper."""
 
     lower: tuple[int, ...]
     upper: tuple[int, ...]
@@ -96,8 +89,9 @@ class IntervalUncertainty:
     def _from_columns(
         cls, lower: Iterable[int], upper: Iterable[int]
     ) -> "IntervalUncertainty":
-        """Ranges from bound columns whose entries are all ints: the sign,
-        length and lower <= upper checks of the constructor, with its messages."""
+        """Ranges from bound columns whose entries are all ints, as the file
+        reader has checked: the constructor without its per-entry type scan,
+        with the same messages."""
         u = cls.__new__(cls)
         u._set_bounds(_check_signs(lower, "lower bounds"), _check_signs(upper, "upper bounds"))
         return u

@@ -153,6 +153,13 @@ def pairwise_independent(fam, members):
     )
 
 
+def ref_is_independent_sorted(fam, idx):
+    """Independence of validated 1-based indices the tuple way: sort the
+    (lo, hi) pairs, and each interval must end before the next one starts."""
+    ivs = sorted((fam.intervals[i - 1].lo, fam.intervals[i - 1].hi) for i in idx)
+    return all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ivs, ivs[1:]))
+
+
 def left_scan_opt(fam, weights):
     """Deterministic optimum (value only) by a left-endpoint recursion.
 

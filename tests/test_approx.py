@@ -199,7 +199,7 @@ class TestAdversarialRatio:
     def test_algorithm_mismatch_refused_before_solving(self, monkeypatch, inst, algorithm, line):
         calls = []
         for module, name in [
-            (core, "max_weight_is"),
+            (core, "_max_weight_is"),
             (robust, "solve_regret_discrete_exact"),
             (robust, "solve_regret_interval_exact"),
             (approx, "k_approx_regret"),

@@ -16,7 +16,8 @@ import pytest
 
 import golden_defs
 from rwis import (
-    DiscreteScenarioSet, RwisError, cli, errors, gen, parse_instance, robust, write_instance,
+    DiscreteScenarioSet, RwisError, cli, core, errors, fileformat, gen, parse_instance, robust,
+    write_instance,
 )
 from rwis.cli import main
 
@@ -166,7 +167,7 @@ def any_instance(request, tmp_path):
 
 class TestEvaluateReproducesSolve:
     @pytest.mark.parametrize(
-        "problem,algorithm", list(cli.SOLVERS), ids="-".join
+        "problem,algorithm", list(cli.SOLVERS), ids=[f"{p}-{a}" for p, a in cli.SOLVERS]
     )
     def test_evaluate_prints_the_reported_value_and_witness(
         self, capsys, any_instance, problem, algorithm
@@ -266,6 +267,32 @@ class TestColumnFamilies:
                 except RwisError:
                     pass  # refusals (guard, frontier cap, det) still count
             assert "intervals" not in vars(instance.family), (problem, algorithm)
+
+
+class TestSingleTypeScan:
+    # An interval-model solve type-scans each column once, at the boundary
+    # that owns its error message: the reader scans the lo, hi, lower and
+    # upper columns, and regret/midpoint's evaluation its one member set.
+    @pytest.mark.parametrize(
+        "problem,algorithm,scans", [("maxmin", "exact", 4), ("regret", "midpoint", 5)],
+        ids=["maxmin-exact", "regret-midpoint"],
+    )
+    def test_solve_scans_each_column_once(self, capsys, monkeypatch, problem, algorithm, scans):
+        scanned = []
+        real = core._all_ints
+
+        def counting(xs):
+            scanned.append(len(xs))
+            return real(xs)
+
+        monkeypatch.setattr(core, "_all_ints", counting)
+        monkeypatch.setattr(fileformat, "_all_ints", counting)
+        code, _, err = run(
+            capsys, "solve", str(GOLDEN / "tight_midpoint.json"),
+            "--problem", problem, "--algorithm", algorithm,
+        )
+        assert (code, err) == (0, "")
+        assert len(scanned) == scans, scanned
 
 
 class TestExitCodes:

@@ -107,6 +107,42 @@ class TestIsIndependent:
             fam.interval(2)
         assert str(info.value) == "vertex index 2 out of range 1..1"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checked_indices_match_the_tuple_sort_reference(self, seed):
+        # endpoints on 0..8, so member sets often hold touching endpoints,
+        # equal left endpoints and single points; half the sets keep only
+        # members disjoint from those kept before, so that both answers occur
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            pairs = []
+            for _ in range(n):
+                lo = rng.randint(0, 8)
+                pairs.append((lo, lo + rng.choice((0, 0, 1, 2, 3))))
+            fam = IntervalFamily.from_pairs(pairs)
+            members = rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+            if rng.random() < 0.5:
+                kept = []
+                for i in members:
+                    lo, hi = pairs[i - 1]
+                    if all(hi < pairs[j - 1][0] or pairs[j - 1][1] < lo for j in kept):
+                        kept.append(i)
+                members = kept
+            idx = core.check_members(n, members)
+            got = core._is_independent(fam, idx)
+            assert got == oracles.ref_is_independent_sorted(fam, idx), (pairs, idx)
+            ivs = [pairs[i - 1] for i in idx]
+            seen.add(got)
+            seen.update(
+                tag for tag, hit in (
+                    ("touching", any(a[1] == b[0] for a in ivs for b in ivs if a != b)),
+                    ("equal-lo", len({lo for lo, _ in ivs}) < len(ivs)),
+                    ("point", any(lo == hi for lo, hi in ivs)),
+                ) if hit
+            )
+        assert seen == {True, False, "touching", "equal-lo", "point"}
+
 
 def tricky_family(rng, n):
     """Seeded family mixing duplicate, touching, nested and degenerate intervals."""
@@ -346,6 +382,13 @@ class TestMaxWeightIs:
         fam = IntervalFamily.from_pairs([(0, 1)])
         with pytest.raises(ValidationError):
             max_weight_is(fam, (1, 2))
+
+    @given(families_with_weights(max_w=10**6))
+    @settings(max_examples=100)
+    def test_private_path_matches_the_public_one_on_checked_weights(self, fw):
+        fam, w = fw
+        w = core.check_weights(len(fam), w)
+        assert core._max_weight_is(fam, w) == max_weight_is(fam, w)
 
     @given(families_with_weights())
     @settings(max_examples=150)

@@ -339,6 +339,52 @@ class TestSizeMismatch:
         assert str(info.value) == "uncertainty covers 2 vertices, family has 3"
 
 
+OVERLAPPING_PAIR = IntervalFamily.from_pairs([(0, 2), (1, 3)])
+
+# (call, exact message): bad input to the public functions whose checks the
+# solvers now skip on constructor-checked columns
+PUBLIC_REFUSALS = {
+    "max_weight_is-negative": (
+        lambda: core.max_weight_is(OVERLAPPING_PAIR, [1, -1]), "negative weight -1 rejected"),
+    "max_weight_is-float": (
+        lambda: core.max_weight_is(OVERLAPPING_PAIR, [1, 2.0]),
+        "weights must be integers, got 2.0"),
+    "max_weight_is-length": (
+        lambda: core.max_weight_is(OVERLAPPING_PAIR, [1]),
+        "weight vector has length 1, family has 2 vertices"),
+    "opt_weight-negative": (
+        lambda: opt_weight(OVERLAPPING_PAIR, [1, -1]), "negative weight -1 rejected"),
+    "opt_weight-str": (
+        lambda: opt_weight(OVERLAPPING_PAIR, ["1", 1]), "weights must be integers, got '1'"),
+    "opt_weight-length": (
+        lambda: opt_weight(OVERLAPPING_PAIR, [1, 2, 3]),
+        "weight vector has length 3, family has 2 vertices"),
+    "worst_case_scenario-range": (
+        lambda: worst_case_scenario(RANGES_OF_TWO, [3]), "vertex index 3 out of range 1..2"),
+    "worst_case_scenario-bool": (
+        lambda: worst_case_scenario(RANGES_OF_TWO, [True]),
+        "vertex index True out of range 1..2"),
+    "max_regret_interval-dependent": (
+        lambda: max_regret_interval(OVERLAPPING_PAIR, RANGES_OF_TWO, [1, 2]),
+        "vertex set (1, 2) is not independent"),
+    "max_regret_interval-range": (
+        lambda: max_regret_interval(OVERLAPPING_PAIR, RANGES_OF_TWO, [0]),
+        "vertex index 0 out of range 1..2"),
+    "max_regret_interval-bool": (
+        lambda: max_regret_interval(OVERLAPPING_PAIR, RANGES_OF_TWO, [2, False]),
+        "vertex index False out of range 1..2"),
+}
+
+
+@pytest.mark.parametrize("case", PUBLIC_REFUSALS)
+def test_public_functions_keep_their_checks(case):
+    call, message = PUBLIC_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
 class TestMaxMinInterval:
     def test_all_zero_lower(self):
         u = IntervalUncertainty((0, 0), (5, 7))

@@ -91,6 +91,69 @@ class TestTypes:
         assert inst.scaling_factor == 1
 
 
+def _outcome(build, *args):
+    """(type, value) of a constructor call, or (exception type, message)."""
+    try:
+        model = build(*args)
+    except Exception as exc:  # the exact type is the result compared
+        return type(exc), str(exc)
+    return type(model), model
+
+
+# The column lists the file reader hands the private constructors: int
+# entries (an IntEnum among them) in valid and in every invalid shape the
+# reader lets through.
+RANGE_COLUMNS = {
+    "valid": ([0, 1, 2], [3, 1, 2]),
+    "int-enum": ([Small.ONE, 0], [Small.ONE, 4]),
+    "empty": ([], []),
+    "negative-lower": ([0, -1, -2], [1, 1, 1]),
+    "negative-upper": ([0, 0], [-3, -4]),
+    "negative-lower-before-upper": ([0, -5], [-1, 0]),
+    "lower-above-upper": ([0, 5, 7], [1, 4, 6]),
+    "unequal-lengths": ([1], [1, 2]),
+    "unequal-lengths-before-order": ([5, 5], [4]),
+    "negative-before-unequal-lengths": ([1, 2], [-1]),
+}
+
+SCENARIO_COLUMNS = {
+    "valid": [[1, 2], [3, 0]],
+    "one-empty-column": [[]],
+    "int-enum": [[Small.ONE, 2]],
+    "empty": [],
+    "negative": [[1, -2]],
+    "negative-in-a-later-column": [[1, 2, 0], [0, -2, -3]],
+    "inconsistent-lengths": [[1, 2], [1], [4, 5, 6]],
+    "negative-before-inconsistent-lengths": [[1, 2], [-1]],
+}
+
+
+class TestColumnConstructors:
+    """The private constructors the file reader uses match the public ones
+    in value and type, and in exception type and message."""
+
+    @pytest.mark.parametrize("case", RANGE_COLUMNS)
+    def test_ranges_match_the_constructor(self, case):
+        lower, upper = RANGE_COLUMNS[case]
+        got = _outcome(IntervalUncertainty._from_columns, list(lower), list(upper))
+        assert got == _outcome(IntervalUncertainty, lower, upper)
+        if got[0] is IntervalUncertainty:
+            u = got[1]
+            assert type(u.lower) is type(u.upper) is tuple
+            assert repr(u) == repr(IntervalUncertainty(lower, upper))
+
+    @pytest.mark.parametrize("case", SCENARIO_COLUMNS)
+    def test_scenario_sets_match_the_constructor(self, case):
+        rows = SCENARIO_COLUMNS[case]
+        got = _outcome(DiscreteScenarioSet._from_columns, [list(r) for r in rows])
+        assert got == _outcome(DiscreteScenarioSet, rows)
+        if got[0] is DiscreteScenarioSet:
+            scen = got[1]
+            assert type(scen.scenarios) is tuple
+            assert all(type(row) is tuple for row in scen.scenarios)
+            assert repr(scen) == repr(DiscreteScenarioSet(rows))
+
+
 class TestWorstCaseScenario:
     def test_direct_substitution(self):
         u = IntervalUncertainty((0, 0), (2, 3))
