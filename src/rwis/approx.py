@@ -69,7 +69,7 @@ def midpoint_approx_regret(
     """
     core._require_same_size(fam, u.n)
     optima = _surrogate_optima(fam, scenarios._surrogate_interval(u), ties, guard)
-    reports = (robust.max_regret_interval(fam, u, m) for m in optima)
+    reports = (robust._max_regret_interval(fam, u, m) for m in optima)
     return max(reports, key=attrgetter("regret_value"))  # the first worst wins
 
 

@@ -8,10 +8,10 @@ global scaling factor at instance-construction time and keep everything exact.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import attrgetter, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -261,14 +261,28 @@ def _prepared(
     order (by hi, then lo, then index); preds[k] counts sorted intervals
     ending strictly before its start, i.e. the DP predecessor p(k+1).
     by_lo lists the original indices by left endpoint, then index.
+
+    The counts come from one merge of the two sorted orders, not a binary
+    search per interval.  Walked in by_lo order the left endpoints never
+    decrease, so the count of right endpoints below them never does either:
+    one pointer into the sorted right endpoints advances past each hi < lo,
+    n steps in all.  It never runs off the end, since an interval's own
+    hi >= lo stops it.  The counts are those of bisect_left, exactly, for
+    any ints; _completions counts left endpoints the same way.
     """
     los, his = fam._los, fam._his
     # two stable sorts: by lo, then by hi, give the (hi, lo, index) order
     by_lo = tuple(sorted(range(len(fam)), key=los.__getitem__))
     order = tuple(sorted(by_lo, key=his.__getitem__))
     sorted_his = list(map(his.__getitem__, order))
-    preds = tuple(map(bisect_left, repeat(sorted_his), map(los.__getitem__, order)))
-    return order, preds, by_lo
+    below = [0] * len(by_lo)  # below[i]: right endpoints < los[i]
+    j = 0
+    for i in by_lo:
+        lo = los[i]
+        while sorted_his[j] < lo:
+            j += 1
+        below[i] = j
+    return order, tuple(map(below.__getitem__, order)), by_lo
 
 
 def _completions(
@@ -281,19 +295,43 @@ def _completions(
     is position f, by one reverse DP over left-endpoint order.  rest[q]: best
     weight of one within positions >= q (suffix maxima of first), so rest[n]
     is 0 and rest[0] is the optimum.
+
+    after_end[i], the left endpoints <= his[i], comes from the merge of
+    _prepared run the other way round: walked in right-endpoint order, one
+    pointer into the sorted left endpoints advances past each lo <= hi.  A
+    sentinel above the largest hi stops it at n.
     """
     n = len(fam)
     los, his = fam._los, fam._his
     order, _, by_lo = _prepared(fam)
-    sorted_los = [los[i] for i in by_lo]
-    after_end = [bisect_right(sorted_los, h) for h in his]
+    after_end = [0] * n
+    if n:
+        sorted_los = list(map(los.__getitem__, by_lo))
+        sorted_los.append(his[order[-1]] + 1)
+        j = 0
+        for i in order:
+            hi = his[i]
+            while sorted_los[j] <= hi:
+                j += 1
+            after_end[i] = j
     after = [0] * (n + 1)  # after[k]: best set in by_lo[k:]
+    take = [0] * n  # take[i]: best set whose earliest-starting member is i
+    top = 0
     for k in range(n - 1, -1, -1):
         i = by_lo[k]
-        take = weights[i] + after[after_end[i]]
-        after[k] = take if take > after[k + 1] else after[k + 1]
-    first = [weights[i] + after[after_end[i]] for i in order]
-    rest = list(accumulate(reversed(first), max, initial=0))[::-1]
+        t = take[i] = weights[i] + after[after_end[i]]
+        if t > top:
+            top = t
+        after[k] = top
+    # an interval's best completion starts after its end, so the earliest
+    # starting member of a set is also its earliest-ending one
+    first = list(map(take.__getitem__, order))
+    rest = [0] * (n + 1)
+    top = 0
+    for q in range(n - 1, -1, -1):
+        if first[q] > top:
+            top = first[q]
+        rest[q] = top
     return first, rest
 
 
@@ -383,8 +421,9 @@ def max_weight_is(
 ) -> tuple[tuple[int, ...], int]:
     """Maximum-weight independent set via the classic right-endpoint DP.
 
-    Runs in O(n log n): sort by right endpoint, binary-search each interval's
-    predecessor, then D[i] = max(D[i-1], D[p(i)] + w_i).  Ties prefer skipping
+    Runs in O(n log n): sort by right endpoint, find every interval's
+    predecessor in one merge pass over the sorted endpoints (see _prepared),
+    then D[i] = max(D[i-1], D[p(i)] + w_i).  Ties prefer skipping
     the current interval, so zero-weight vertices are never included and the
     returned set is reproducible.
 

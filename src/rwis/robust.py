@@ -128,7 +128,14 @@ def max_regret_interval(
     over the whole product.
     """
     _require_same_size(fam, u.n)
-    idx = _checked_solution(fam, members)
+    return _max_regret_interval(fam, u, _checked_solution(fam, members))
+
+
+def _max_regret_interval(
+    fam: IntervalFamily, u: IntervalUncertainty, idx: tuple[int, ...]
+) -> RegretReport:
+    """max_regret_interval for a sorted, deduplicated, independent member
+    tuple of u's size, such as a set the right-endpoint DP returns."""
     sx = _worst_case_scenario(u, idx)
     regret = _opt_weight(fam, sx) - sum(sx[i - 1] for i in idx)
     return RegretReport(idx, regret, sx)
@@ -560,7 +567,7 @@ def _regret_interval_walk(
     at which the bound was evaluated.
     """
     n = len(fam)
-    seed = max_regret_interval(
+    seed = _max_regret_interval(
         fam, u, core._max_weight_is(fam, scenarios._surrogate_interval(u))[0]
     )
     best_regret, best_members = seed.regret_value, seed.solution

@@ -6,7 +6,7 @@ direct pairwise intersection test, so agreement with the production solvers
 is meaningful evidence.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -143,6 +143,24 @@ def ref_prepared(fam):
     his = [ivs[i].hi for i in order]
     by_lo = tuple(sorted(range(len(ivs)), key=lambda i: (ivs[i].lo, i)))
     return order, tuple(bisect_left(his, ivs[i].lo) for i in order), by_lo
+
+
+def ref_completions(fam, weights):
+    """core._completions the plain way: the orders of ref_prepared, each
+    interval's after_end by bisect_right of its hi in the sorted left
+    endpoints, one reverse DP over left-endpoint order, and each suffix
+    maximum of first taken directly."""
+    ivs = fam.intervals
+    n = len(ivs)
+    order, _, by_lo = ref_prepared(fam)
+    sorted_los = [ivs[i].lo for i in by_lo]
+    after_end = [bisect_right(sorted_los, iv.hi) for iv in ivs]
+    after = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        i = by_lo[k]
+        after[k] = max(after[k + 1], weights[i] + after[after_end[i]])
+    first = [weights[i] + after[after_end[i]] for i in order]
+    return first, [max(first[q:], default=0) for q in range(n + 1)]
 
 
 def pairwise_independent(fam, members):

@@ -126,6 +126,16 @@ class TestMidpointApprox:
             opt = solve_regret_interval_exact(fam, u).regret_value
             assert got <= 2 * opt
 
+    @pytest.mark.parametrize("ties", ["canonical", "adversarial"])
+    def test_report_equals_the_public_evaluator_on_its_solution(self, ties):
+        # midpoint scores its own sets without the evaluator's member checks
+        rng = random.Random(2802)
+        cases = [random_instance(rng, "interval", max_n=10) for _ in range(100)]
+        inst = gen_tight_midpoint()
+        for fam, u in cases + [(inst.family, inst.uncertainty)]:
+            report = midpoint_approx_regret(fam, u, ties=ties)
+            assert report == robust.max_regret_interval(fam, u, report.solution)
+
 
 class TestSurrogateInvariance:
     def test_summed_vs_averaged_weights_same_optima(self):

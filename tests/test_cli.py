@@ -272,10 +272,12 @@ class TestColumnFamilies:
 class TestSingleTypeScan:
     # An interval-model solve type-scans each column once, at the boundary
     # that owns its error message: the reader scans the lo, hi, lower and
-    # upper columns, and regret/midpoint's evaluation its one member set.
+    # upper columns.  The member sets that regret/midpoint and the exact
+    # walk's seed score come from the DP, so they are not scanned again.
     @pytest.mark.parametrize(
-        "problem,algorithm,scans", [("maxmin", "exact", 4), ("regret", "midpoint", 5)],
-        ids=["maxmin-exact", "regret-midpoint"],
+        "problem,algorithm,scans",
+        [("maxmin", "exact", 4), ("regret", "midpoint", 4), ("regret", "exact", 4)],
+        ids=["maxmin-exact", "regret-midpoint", "regret-exact"],
     )
     def test_solve_scans_each_column_once(self, capsys, monkeypatch, problem, algorithm, scans):
         scanned = []

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwis import (
@@ -171,6 +171,67 @@ TRICKY = [
     tricky_family(random.Random(seed), n)
     for seed, n in enumerate([0, 1, 1, 2, 3, 5, 8, 13, 30, 60, 100, 150, 200, 200])
 ]
+
+
+# endpoint values near 0 (negative ones too), around 2**64, or anywhere in
+# +-2**70; a family draws from a small pool of them, so equal, touching and
+# zero-length intervals are common
+ENDPOINTS = st.one_of(
+    st.integers(-6, 6), st.integers(2**64 - 3, 2**64 + 3), st.integers(-(2**70), 2**70)
+)
+
+
+@st.composite
+def wide_families_with_weights(draw, max_n=12):
+    pool = draw(st.lists(ENDPOINTS, min_size=1, max_size=6))
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [
+        tuple(sorted(draw(st.tuples(st.sampled_from(pool), st.sampled_from(pool)))))
+        for _ in range(n)
+    ]
+    w = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    return IntervalFamily.from_pairs(pairs), w
+
+
+WIDE_EXAMPLES = [
+    [],
+    [(5, 5)],
+    [(-3, 2)],
+    [(7, 7)] * 4,
+    [(-4, -2), (-2, 0), (0, 0), (0, 3), (-9, -4)],
+    [(2**64, 2**64 + 5), (-(2**70), 2**64), (2**64 + 5, 2**64 + 5), (2**70, 2**70)],
+]
+
+
+def with_wide_examples(test):
+    for pairs in WIDE_EXAMPLES:
+        fam = IntervalFamily.from_pairs(pairs)
+        test = example((fam, list(range(1, len(fam) + 1))))(test)
+    return test
+
+
+class TestMergedCounts:
+    """_prepared's predecessors and _completions' after_end come from merges
+    of two sorted orders; the references binary-search each interval."""
+
+    @given(wide_families_with_weights())
+    @with_wide_examples
+    @settings(max_examples=300, deadline=None)
+    def test_prepared_matches_the_bisect_reference(self, fam_w):
+        fam, _ = fam_w
+        assert core._prepared.__wrapped__(fam) == oracles.ref_prepared(fam)
+
+    @given(wide_families_with_weights())
+    @with_wide_examples
+    @settings(max_examples=300, deadline=None)
+    def test_completions_match_the_bisect_reference(self, fam_w):
+        fam, w = fam_w
+        assert core._completions(fam, w) == oracles.ref_completions(fam, w)
+
+    @pytest.mark.parametrize("fam", TRICKY, ids=lambda f: f"n{len(f)}")
+    def test_completions_match_the_bisect_reference_on_tricky_families(self, fam):
+        w = [random.Random(len(fam)).randint(0, 9) for _ in range(len(fam))]
+        assert core._completions(fam, w) == oracles.ref_completions(fam, w)
 
 
 class TestPreparation:

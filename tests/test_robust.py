@@ -47,7 +47,7 @@ from rwis import (
     worst_case_scenario,
 )
 import rwis
-from rwis import approx, core, robust
+from rwis import approx, core, robust, scenarios
 from rwis.robust import resolve_frontier_cap
 
 import golden_defs
@@ -205,6 +205,22 @@ class TestEvaluators:
             report.solution, report.witness_scenario
         )
         assert report.regret_value == gap >= 0
+
+
+class TestMaxRegretIntervalTwin:
+    def test_private_path_matches_the_public_one(self):
+        # DP-made sets (as midpoint and the walk's seed score) and every
+        # enumerated set
+        rng = random.Random(2801)
+        for _ in range(120):
+            fam, u = random_small_ranges(rng, 8)
+            columns = (u.lower, u.upper, scenarios._surrogate_interval(u))
+            sets = [core._max_weight_is(fam, w)[0] for w in columns]
+            sets += core.enumerate_independent_sets(fam)
+            for idx in sets:
+                assert robust._max_regret_interval(fam, u, idx) == max_regret_interval(
+                    fam, u, idx
+                ), (fam, u, idx)
 
 
 def _functools_caches():
