@@ -266,8 +266,8 @@ def _prepared(
     search per interval.  Walked in by_lo order the left endpoints never
     decrease, so the count of right endpoints below them never does either:
     one pointer into the sorted right endpoints advances past each hi < lo,
-    n steps in all.  It never runs off the end, since an interval's own
-    hi >= lo stops it.  The counts are those of bisect_left, exactly, for
+    at most n times in all.  It never runs off the end, since an interval's
+    own hi >= lo stops it.  The counts are those of bisect_left, exactly, for
     any ints; _completions counts left endpoints the same way.
     """
     los, his = fam._los, fam._his

@@ -216,14 +216,14 @@ class TestMergedCounts:
 
     @given(wide_families_with_weights())
     @with_wide_examples
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_prepared_matches_the_bisect_reference(self, fam_w):
         fam, _ = fam_w
         assert core._prepared.__wrapped__(fam) == oracles.ref_prepared(fam)
 
     @given(wide_families_with_weights())
     @with_wide_examples
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_completions_match_the_bisect_reference(self, fam_w):
         fam, w = fam_w
         assert core._completions(fam, w) == oracles.ref_completions(fam, w)
