@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import approx, core, gen, robust, scenarios
+from . import approx, core, gen, robust
 from .errors import (
     GuardError,
     ParseError,
@@ -469,7 +469,7 @@ def _value(instance: Instance, problem: str, algorithm: str) -> int:
 def _regret_formula_holds(instance: Instance) -> bool:
     """The one-scenario interval regret against every extreme scenario."""
     fam, u = instance.family, instance.uncertainty
-    extremes = list(extreme_scenarios(u, scenarios.DEFAULT_EXTREME_GUARD))
+    extremes = list(extreme_scenarios(u))
     optima = [robust.opt_weight(fam, s) for s in extremes]
     return all(
         robust.max_regret_interval(fam, u, members).regret_value

@@ -34,9 +34,9 @@ def _resolve_env_int(value: int | None, env_var: str, default: int) -> int:
         raise ValidationError(f"{env_var} must be an integer, got {env!r}") from None
 
 
-def resolve_guard(guard: int | None, default: int = DEFAULT_ENUMERATION_GUARD) -> int:
+def resolve_guard(guard: int | None) -> int:
     """Effective enumeration guard: explicit argument, then RWIS_GUARD_N, then default."""
-    return _resolve_env_int(guard, GUARD_ENV_VAR, default)
+    return _resolve_env_int(guard, GUARD_ENV_VAR, DEFAULT_ENUMERATION_GUARD)
 
 
 def _check_enumeration_guard(n: int, guard: int | None) -> None:
@@ -200,21 +200,15 @@ def _nonnegative_ints(values: Iterable[int], not_int: str, negative: str) -> tup
     the first bad entry: `not_int` or `negative` formatted with that entry."""
     out = tuple(values)
     if _all_ints(out):
-        return _nonnegative(out, negative)
+        if out and min(out) < 0:
+            raise ValidationError(negative.format(next(x for x in out if x < 0)))
+        return out
     for x in out:
         if not _is_int(x):
             raise ValidationError(not_int.format(x))
         if x < 0:
             raise ValidationError(negative.format(x))
     return out
-
-
-def _nonnegative(values: tuple[int, ...], negative: str) -> tuple[int, ...]:
-    """_nonnegative_ints for values whose entries are already ints: only the
-    sign is checked, with the same message for the first negative entry."""
-    if values and min(values) < 0:
-        raise ValidationError(negative.format(next(x for x in values if x < 0)))
-    return values
 
 
 def check_weights(n: int, weights: Iterable[int]) -> tuple[int, ...]:

@@ -36,9 +36,27 @@ def _require_int(value, what: str) -> int:
 def _require_int_list(value, what: str) -> list[int]:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
-    if _all_ints(value):
-        return value
     return [_require_int(x, f"{what} entry") for x in value]
+
+
+def _build_model(model, args: tuple, columns: list[tuple[str, object]]):
+    """model(*args), where `columns` names each weight column in args.
+
+    On a valid document the constructor's scan is the only type scan of each
+    column.  When it refuses, the reader's checks run over every column in
+    order first, so a non-list column or a non-int entry is reported in the
+    reader's words ahead of any sign, length or lower > upper error; the
+    constructor's own error stands only when the types are sound.  A column
+    that is not a list never reaches the constructor, which would iterate it.
+    """
+    if all(isinstance(column, list) for _, column in columns):
+        try:
+            return model(*args)
+        except ValidationError:
+            pass
+    for what, column in columns:
+        _require_int_list(column, what)
+    return model(*args)
 
 
 def _require_pairs(raw: list) -> tuple[list[int], list[int]]:
@@ -116,8 +134,8 @@ def instance_from_dict(doc: dict) -> Instance:
         rows = unc.get("scenarios")
         if not isinstance(rows, list) or not rows:
             raise ValidationError("discrete uncertainty needs a non-empty scenarios list")
-        uncertainty: DiscreteScenarioSet | IntervalUncertainty = (
-            DiscreteScenarioSet._from_columns([_require_int_list(r, "scenario") for r in rows])
+        uncertainty: DiscreteScenarioSet | IntervalUncertainty = _build_model(
+            DiscreteScenarioSet, (rows,), [("scenario", r) for r in rows]
         )
     elif kind == "interval":
         extra = set(unc) - {"type", "lower", "upper"}
@@ -125,9 +143,9 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValidationError(f"unknown uncertainty fields: {sorted(extra)}")
         if "lower" not in unc or "upper" not in unc:
             raise ValidationError("interval uncertainty needs 'lower' and 'upper' lists")
-        uncertainty = IntervalUncertainty._from_columns(
-            _require_int_list(unc["lower"], "lower"),
-            _require_int_list(unc["upper"], "upper"),
+        lower, upper = unc["lower"], unc["upper"]
+        uncertainty = _build_model(
+            IntervalUncertainty, (lower, upper), [("lower", lower), ("upper", upper)]
         )
     else:
         raise ValidationError(f"unknown uncertainty type {kind!r}")

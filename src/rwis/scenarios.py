@@ -14,28 +14,19 @@ from typing import Iterable, Iterator
 from .core import (
     IntervalFamily,
     _is_int,
-    _nonnegative,
     _nonnegative_ints,
     _require_same_size,
     check_members,
-    resolve_guard,
 )
 from .errors import GuardError, ValidationError
 
 DEFAULT_EXTREME_GUARD = 12
 
 
-def _negative(what: str) -> str:
-    return f"{what} must be nonnegative, got {{}}"
-
-
 def _check_vector(v: Iterable[int], what: str) -> tuple[int, ...]:
-    return _nonnegative_ints(v, f"{what} must contain integers, got {{!r}}", _negative(what))
-
-
-def _check_signs(v: Iterable[int], what: str) -> tuple[int, ...]:
-    """_check_vector for entries that are already ints."""
-    return _nonnegative(tuple(v), _negative(what))
+    return _nonnegative_ints(
+        v, f"{what} must contain integers, got {{!r}}", f"{what} must be nonnegative, got {{}}"
+    )
 
 
 @dataclass(frozen=True)
@@ -45,18 +36,7 @@ class DiscreteScenarioSet:
     scenarios: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        self._set_rows(tuple(_check_vector(s, "scenario weights") for s in self.scenarios))
-
-    @classmethod
-    def _from_columns(cls, rows: Iterable[Iterable[int]]) -> "DiscreteScenarioSet":
-        """Scenario set from weight columns whose entries are all ints, as
-        the file reader has checked: the constructor without its per-entry
-        type scan, with the same messages."""
-        scen = cls.__new__(cls)
-        scen._set_rows(tuple(_check_signs(s, "scenario weights") for s in rows))
-        return scen
-
-    def _set_rows(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(_check_vector(s, "scenario weights") for s in self.scenarios)
         if not rows:
             raise ValidationError("a discrete scenario set needs at least one scenario")
         object.__setattr__(self, "scenarios", rows)
@@ -81,22 +61,8 @@ class IntervalUncertainty:
     upper: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self._set_bounds(
-            _check_vector(self.lower, "lower bounds"), _check_vector(self.upper, "upper bounds")
-        )
-
-    @classmethod
-    def _from_columns(
-        cls, lower: Iterable[int], upper: Iterable[int]
-    ) -> "IntervalUncertainty":
-        """Ranges from bound columns whose entries are all ints, as the file
-        reader has checked: the constructor without its per-entry type scan,
-        with the same messages."""
-        u = cls.__new__(cls)
-        u._set_bounds(_check_signs(lower, "lower bounds"), _check_signs(upper, "upper bounds"))
-        return u
-
-    def _set_bounds(self, lo: tuple[int, ...], up: tuple[int, ...]) -> None:
+        lo = _check_vector(self.lower, "lower bounds")
+        up = _check_vector(self.upper, "upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         if len(lo) != len(up):
@@ -177,9 +143,10 @@ def extreme_scenarios(
     """All distinct scenarios with every coordinate at a bound.
 
     Degenerate ranges contribute a single value, so the count is 2^d where d
-    is the number of non-degenerate coordinates.  Guarded (default 12).
+    is the number of non-degenerate coordinates.  Guarded by `guard`
+    (default 12); RWIS_GUARD_N, the enumeration guard, does not apply here.
     """
-    limit = resolve_guard(guard, default=DEFAULT_EXTREME_GUARD)
+    limit = DEFAULT_EXTREME_GUARD if guard is None else guard
     if u.n > limit:
         raise GuardError(f"{u.n} vertices exceed extreme-scenario guard {limit}")
     choices = [

@@ -561,3 +561,53 @@ def maxima_2d(pairs):
             for j, (px, py) in enumerate(pairs)
         )
     ]
+
+
+def ref_read_uncertainty(unc, n):
+    """What the file reader makes of a well-formed uncertainty object ("type"
+    and exactly its own fields) over a family of n intervals:
+    ("discrete", rows) or ("interval", lower, upper) as tuples, or
+    ("error", message).
+
+    The precedence written out as a specification: every column's list check
+    and then its entries' int checks, column by column; then the model's sign
+    check of each column in order; then its length check; for ranges then
+    the first lower > upper; last the family-size check.
+    """
+    if unc["type"] == "discrete":
+        rows = unc["scenarios"]
+        if not isinstance(rows, list) or not rows:
+            return ("error", "discrete uncertainty needs a non-empty scenarios list")
+        named = [("scenario", "scenario weights", row) for row in rows]
+    else:
+        named = [("lower", "lower bounds", unc["lower"]), ("upper", "upper bounds", unc["upper"])]
+    for what, _, column in named:
+        if not isinstance(column, list):
+            return ("error", f"{what} must be a list, got {type(column).__name__}")
+        for x in column:
+            if not isinstance(x, int) or isinstance(x, bool):
+                return ("error", f"{what} entry must be an integer, got {x!r}")
+    for _, label, column in named:
+        for x in column:
+            if x < 0:
+                return ("error", f"{label} must be nonnegative, got {x}")
+    columns = [tuple(column) for _, _, column in named]
+    if unc["type"] == "discrete":
+        lengths = sorted({len(row) for row in columns})
+        if len(lengths) > 1:
+            return ("error", f"scenarios have inconsistent lengths {lengths}")
+        model = ("discrete", tuple(columns))
+    else:
+        lower, upper = columns
+        if len(lower) != len(upper):
+            return (
+                "error", f"bound vectors have different lengths {len(lower)} and {len(upper)}"
+            )
+        for i, (a, b) in enumerate(zip(lower, upper), start=1):
+            if a > b:
+                return ("error", f"vertex {i}: lower bound {a} exceeds upper bound {b}")
+        model = ("interval", lower, upper)
+    size = len(columns[0])
+    if size != n:
+        return ("error", f"uncertainty covers {size} vertices, family has {n}")
+    return model

@@ -270,16 +270,26 @@ class TestColumnFamilies:
 
 
 class TestSingleTypeScan:
-    # An interval-model solve type-scans each column once, at the boundary
-    # that owns its error message: the reader scans the lo, hi, lower and
-    # upper columns.  The member sets that regret/midpoint and the exact
-    # walk's seed score come from the DP, so they are not scanned again.
+    # A solve type-scans each column once: the reader scans the lo and hi
+    # columns, and the model constructors scan the weight columns, lower and
+    # upper for ranges (4 in all) or each of the K scenarios (2 + K).  The
+    # member sets that regret/midpoint and the exact walk's seed score come
+    # from the DP, so they are not scanned again.
     @pytest.mark.parametrize(
-        "problem,algorithm,scans",
-        [("maxmin", "exact", 4), ("regret", "midpoint", 4), ("regret", "exact", 4)],
-        ids=["maxmin-exact", "regret-midpoint", "regret-exact"],
+        "path,problem,algorithm,scans",
+        [
+            ("tight_midpoint.json", "maxmin", "exact", 4),
+            ("tight_midpoint.json", "regret", "midpoint", 4),
+            ("tight_midpoint.json", "regret", "exact", 4),
+            ("tight_k3.json", "maxmin", "exact", 5),
+            ("tight_k3.json", "regret", "kapprox", 5),
+        ],
+        ids=["maxmin-exact", "regret-midpoint", "regret-exact",
+             "k3-maxmin-exact", "k3-regret-kapprox"],
     )
-    def test_solve_scans_each_column_once(self, capsys, monkeypatch, problem, algorithm, scans):
+    def test_solve_scans_each_column_once(
+        self, capsys, monkeypatch, path, problem, algorithm, scans
+    ):
         scanned = []
         real = core._all_ints
 
@@ -290,8 +300,7 @@ class TestSingleTypeScan:
         monkeypatch.setattr(core, "_all_ints", counting)
         monkeypatch.setattr(fileformat, "_all_ints", counting)
         code, _, err = run(
-            capsys, "solve", str(GOLDEN / "tight_midpoint.json"),
-            "--problem", problem, "--algorithm", algorithm,
+            capsys, "solve", str(GOLDEN / path), "--problem", problem, "--algorithm", algorithm
         )
         assert (code, err) == (0, "")
         assert len(scanned) == scans, scanned

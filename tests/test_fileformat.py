@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_defs
+import oracles
 from rwis import (
     Instance,
     IntervalFamily,
@@ -329,6 +330,84 @@ def test_uncertainty_shape_errors(case):
             parse(minimal_doc(uncertainty=unc))
         assert type(info.value) is ValidationError
         assert str(info.value) == message
+
+
+# Entries and columns outside the format, for the reader differential: a
+# float equal to an int, bools, strings, None, nested and empty lists, a
+# dict, a tuple (only a dict document, not JSON, can hold one), an int
+# beyond 64 bits and an IntEnum.
+ODD_ENTRIES = (-1, -3, True, False, 1.5, 2.0, "3", None, [1], [], {"a": 1}, (1,), 2**70, Small.TWO)
+ODD_COLUMNS = (5, "12", None, {"0": 1}, (1, 2), 1.5, True)
+
+
+def _random_column(rng, n, odd):
+    if rng.random() < 0.05:
+        return rng.choice(ODD_COLUMNS)
+    size = n if rng.random() < 0.8 else rng.randint(0, n + 1)
+    return [rng.choice(ODD_ENTRIES) if rng.random() < odd else rng.randint(0, 6)
+            for _ in range(size)]
+
+
+def _random_uncertainty(rng, n):
+    """A well-formed uncertainty object whose columns may hold anything."""
+    odd = rng.choice((0.0, 0.03, 0.1, 0.3))
+    if rng.random() < 0.5:
+        if rng.random() < 0.03:
+            rows = rng.choice(ODD_COLUMNS + ([],))
+        else:
+            rows = [_random_column(rng, n, odd) for _ in range(rng.randint(1, 4))]
+        return {"type": "discrete", "scenarios": rows}
+    lower = _random_column(rng, n, odd)
+    if isinstance(lower, list) and rng.random() < 0.6:
+        # mostly lower <= upper, so that documents also get past the order check
+        upper = [x + rng.randint(0, 2) if type(x) is int else x for x in lower]
+        if rng.random() < 0.3 and upper:
+            upper[rng.randrange(len(upper))] = rng.choice(ODD_ENTRIES)
+    else:
+        upper = _random_column(rng, n, odd)
+    return {"type": "interval", "lower": lower, "upper": upper}
+
+
+def _read_outcome(doc):
+    """The reader's result in the form oracles.ref_read_uncertainty gives."""
+    try:
+        unc = instance_from_dict(doc).uncertainty
+    except ValidationError as exc:
+        assert type(exc) is ValidationError
+        return ("error", str(exc))
+    if isinstance(unc, DiscreteScenarioSet):
+        assert type(unc.scenarios) is tuple and {type(r) for r in unc.scenarios} <= {tuple}
+        return ("discrete", unc.scenarios)
+    assert type(unc.lower) is type(unc.upper) is tuple
+    return ("interval", unc.lower, unc.upper)
+
+
+# one phrase of each reader refusal the differential must meet
+OUTCOME_KEYS = ("non-empty scenarios", "must be a list", "entry must be", "nonnegative",
+                "inconsistent lengths", "different lengths", "exceeds", "covers")
+
+
+class TestReaderDifferential:
+    """The reader against a reference that spells out its precedence: every
+    column's list and int checks first, in column order, then the model's
+    sign, length and order checks, then the family size."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_documents_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        kinds = set()
+        for _ in range(10_000):
+            n = rng.randint(0, 4)
+            doc = minimal_doc(
+                intervals=[[2 * i, 2 * i + 1] for i in range(n)],
+                uncertainty=_random_uncertainty(rng, n),
+            )
+            expected = oracles.ref_read_uncertainty(doc["uncertainty"], n)
+            assert _read_outcome(doc) == expected, doc
+            kinds.add(expected[0] if expected[0] != "error" else
+                      next(key for key in OUTCOME_KEYS if key in expected[1]))
+        # both models were built, and every kind of refusal occurred
+        assert kinds == {"discrete", "interval", *OUTCOME_KEYS}
 
 
 class TestParseLayerErrors:

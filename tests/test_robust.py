@@ -877,11 +877,10 @@ class TestEnvIntSettings:
         monkeypatch.delenv("RWIS_GUARD_N", raising=False)
         monkeypatch.delenv("RWIS_FRONTIER_CAP", raising=False)
         assert core.resolve_guard(None) == 20
-        assert core.resolve_guard(None, default=12) == 12
         assert resolve_frontier_cap(None) == 5_000_000
         monkeypatch.setenv("RWIS_GUARD_N", "3")
         monkeypatch.setenv("RWIS_FRONTIER_CAP", "4")
-        assert core.resolve_guard(None, default=12) == 3
+        assert core.resolve_guard(None) == 3
         assert resolve_frontier_cap(None) == 4
 
     def test_non_integer_environment_messages(self, monkeypatch):

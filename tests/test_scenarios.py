@@ -14,6 +14,7 @@ from rwis import (
     extreme_scenarios,
     worst_case_scenario,
 )
+from rwis.fileformat import instance_from_dict
 
 
 class Small(enum.IntEnum):
@@ -100,9 +101,19 @@ def _outcome(build, *args):
     return type(model), model
 
 
-# The column lists the file reader hands the private constructors: int
-# entries (an IntEnum among them) in valid and in every invalid shape the
-# reader lets through.
+def _read_model(unc, n):
+    """The uncertainty model the file reader builds over n intervals."""
+    doc = {
+        "format_version": 1,
+        "scaling_factor": 1,
+        "intervals": [[2 * i, 2 * i + 1] for i in range(n)],
+        "uncertainty": unc,
+    }
+    return instance_from_dict(doc).uncertainty
+
+
+# Weight columns of int entries (an IntEnum among them) in a document, valid
+# and in every shape the reader's type checks let through to the model.
 RANGE_COLUMNS = {
     "valid": ([0, 1, 2], [3, 1, 2]),
     "int-enum": ([Small.ONE, 0], [Small.ONE, 4]),
@@ -129,13 +140,15 @@ SCENARIO_COLUMNS = {
 
 
 class TestColumnConstructors:
-    """The private constructors the file reader uses match the public ones
-    in value and type, and in exception type and message."""
+    """The file reader builds the models through their public constructors:
+    from int columns it gives the constructor's value and type, or its
+    exception type and message."""
 
     @pytest.mark.parametrize("case", RANGE_COLUMNS)
     def test_ranges_match_the_constructor(self, case):
         lower, upper = RANGE_COLUMNS[case]
-        got = _outcome(IntervalUncertainty._from_columns, list(lower), list(upper))
+        unc = {"type": "interval", "lower": list(lower), "upper": list(upper)}
+        got = _outcome(_read_model, unc, len(lower))
         assert got == _outcome(IntervalUncertainty, lower, upper)
         if got[0] is IntervalUncertainty:
             u = got[1]
@@ -145,8 +158,13 @@ class TestColumnConstructors:
     @pytest.mark.parametrize("case", SCENARIO_COLUMNS)
     def test_scenario_sets_match_the_constructor(self, case):
         rows = SCENARIO_COLUMNS[case]
-        got = _outcome(DiscreteScenarioSet._from_columns, [list(r) for r in rows])
-        assert got == _outcome(DiscreteScenarioSet, rows)
+        unc = {"type": "discrete", "scenarios": [list(r) for r in rows]}
+        got = _outcome(_read_model, unc, len(rows[0]) if rows else 0)
+        if not rows:  # the reader refuses an empty list before any model is built
+            expected = (ValidationError, "discrete uncertainty needs a non-empty scenarios list")
+        else:
+            expected = _outcome(DiscreteScenarioSet, rows)
+        assert got == expected
         if got[0] is DiscreteScenarioSet:
             scen = got[1]
             assert type(scen.scenarios) is tuple
@@ -192,6 +210,20 @@ class TestExtremeScenarios:
         with pytest.raises(GuardError):
             extreme_scenarios(u)
         assert sum(1 for _ in extreme_scenarios(u, guard=13)) == 2 ** 13
+
+    def test_guard_ignores_the_enumeration_guard_variable(self, monkeypatch):
+        # RWIS_GUARD_N is the enumeration guard; only `guard` moves this one
+        small = IntervalUncertainty((0,) * 4, (1,) * 4)
+        large = IntervalUncertainty((0,) * 14, (1,) * 14)
+        monkeypatch.setenv("RWIS_GUARD_N", "3")
+        assert sum(1 for _ in extreme_scenarios(small)) == 2 ** 4
+        with pytest.raises(GuardError):
+            extreme_scenarios(small, guard=3)
+        monkeypatch.setenv("RWIS_GUARD_N", "16")
+        with pytest.raises(GuardError) as info:
+            extreme_scenarios(large)
+        assert str(info.value) == "14 vertices exceed extreme-scenario guard 12"
+        assert sum(1 for _ in extreme_scenarios(large, guard=14)) == 2 ** 14
 
     @given(uncertainties(), st.data())
     @settings(max_examples=100)
