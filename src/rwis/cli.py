@@ -15,6 +15,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -169,8 +170,13 @@ def dispatch_solve(
 
 
 def _fmt_list(items: tuple[int, ...] | None) -> str:
-    """Comma-separated entries; `-` for None or an empty list."""
-    return ",".join(map(str, items)) if items else "-"
+    """Comma-separated entries; `-` for None or an empty list.
+
+    One %d format over the whole tuple: the entries are plain ints (from the
+    reader or a solver), and %d enforces the int-string digit limit as str
+    does.
+    """
+    return ("%d," * len(items) % tuple(items))[:-1] if items else "-"
 
 
 def _fmt_value(value: int) -> str:
@@ -188,15 +194,14 @@ def _fmt_value(value: int) -> str:
 
 
 def _layout(rows: Sequence[Sequence[str]], format: str) -> str:
-    """Rows of cells as text: tab-separated for `delimited`; for `table`,
-    two spaces apart with every column but the last padded to its widest
-    cell, so a cell's own trailing spaces are kept."""
+    """One or more rows of cells, all of one length, as text: tab-separated
+    for `delimited`; for `table`, two spaces apart with every column but the
+    last padded to its widest cell, so a cell's own trailing spaces are kept."""
     if format == "delimited":
-        return "".join("\t".join(row) + "\n" for row in rows)
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join(
-        "  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n" for row in rows
-    )
+        return "\n".join(map("\t".join, rows)) + "\n"
+    *columns, last = zip(*rows)
+    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in columns]
+    return "\n".join(map("  ".join, zip(*padded, last))) + "\n"
 
 
 def _instance_id(path: Path, instance: Instance) -> str:
@@ -217,6 +222,7 @@ def _check_epsilon(eps: Fraction | float | None) -> None:
 
 def _write_result(
     args: argparse.Namespace,
+    path: Path,
     instance: Instance,
     algorithm: str,
     value: int,
@@ -228,7 +234,7 @@ def _write_result(
     """Print one result's fields in the --format layout; wall_ms, when
     given, is the last field."""
     fields = [
-        ("instance", _instance_id(Path(args.instance), instance)),
+        ("instance", _instance_id(path, instance)),
         ("problem", args.problem),
         ("algorithm", algorithm),
         ("value", _fmt_value(value)),
@@ -247,7 +253,8 @@ def _write_result(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_epsilon(args.epsilon)
-    instance = parse_instance(args.instance)
+    path = Path(args.instance)
+    instance = parse_instance(path)
     start = time.perf_counter()
     value, members, witness = dispatch_solve(
         instance,
@@ -259,7 +266,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     return _write_result(
-        args, instance, args.algorithm, value, members, witness,
+        args, path, instance, args.algorithm, value, members, witness,
         epsilon=args.epsilon, wall_ms=wall_ms if args.timings else None,
     )
 
@@ -280,7 +287,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     det and maxmin score it over one scenario set: the instance's own, or
     the lower bounds for ranges (the worst case of every solution).
     """
-    instance = parse_instance(args.instance)
+    path = Path(args.instance)
+    instance = parse_instance(path)
     members = _parse_solution_arg(args.solution)
     fam, u = instance.family, instance.uncertainty
     discrete = isinstance(u, DiscreteScenarioSet)
@@ -293,7 +301,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _deterministic_vector(instance)  # refuses an uncertain instance
         scen = u if discrete else DiscreteScenarioSet((u.lower,))
         value, witness = robust.max_min_value(fam, scen, members), None
-    return _write_result(args, instance, "evaluate", value, members, witness)
+    return _write_result(args, path, instance, "evaluate", value, members, witness)
 
 
 def _parse_edges_arg(text: str) -> list[tuple[int, int]]:

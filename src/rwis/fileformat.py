@@ -59,11 +59,14 @@ def _build_model(model, args: tuple, columns: list[tuple[str, object]]):
     return model(*args)
 
 
-def _require_pairs(raw: list) -> tuple[list[int], list[int]]:
-    """The lo and hi columns of a list of [lo, hi] pairs."""
+_LO, _HI = itemgetter(0), itemgetter(1)
+
+
+def _require_pairs(raw: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lo and hi columns of a list of [lo, hi] pairs, as tuples."""
     if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
-        los = list(map(itemgetter(0), raw))
-        his = list(map(itemgetter(1), raw))
+        los = tuple(map(_LO, raw))
+        his = tuple(map(_HI, raw))
         if _all_ints(los) and _all_ints(his):
             return los, his
     los, his = [], []
@@ -73,7 +76,7 @@ def _require_pairs(raw: list) -> tuple[list[int], list[int]]:
             raise ValidationError(f"interval {idx} must be a [lo, hi] pair, got {item!r}")
         los.append(entry[0])
         his.append(entry[1])
-    return los, his
+    return tuple(los), tuple(his)
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -174,10 +177,11 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
 
 
 def parse_instance(path: str | Path) -> Instance:
-    """Read and validate an instance file."""
-    p = Path(path)
+    """Read and validate an instance file.  A Path is used as given."""
+    p = path if isinstance(path, Path) else Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(p, encoding="utf-8") as f:  # what Path.read_text does
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from None
     except UnicodeDecodeError as exc:

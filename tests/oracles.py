@@ -611,3 +611,50 @@ def ref_read_uncertainty(unc, n):
     if size != n:
         return ("error", f"uncertainty covers {size} vertices, family has {n}")
     return model
+
+
+def ref_interval_uncertainty(lower, upper):
+    """IntervalUncertainty(lower, upper) as ordered checks: ("interval",
+    lower, upper) as tuples, or (exception type name, message).
+
+    Each column is made a tuple when its turn comes, then its entries are
+    checked in order, type before sign; lower's first, then upper's; then
+    the lengths; last the first lower > upper.
+    """
+    columns = []
+    for label, column in (("lower bounds", lower), ("upper bounds", upper)):
+        try:
+            column = tuple(column)
+        except TypeError as exc:
+            return ("TypeError", str(exc))
+        for x in column:
+            if not isinstance(x, int) or isinstance(x, bool):
+                return ("ValidationError", f"{label} must contain integers, got {x!r}")
+            if x < 0:
+                return ("ValidationError", f"{label} must be nonnegative, got {x}")
+        columns.append(column)
+    lo, up = columns
+    if len(lo) != len(up):
+        return ("ValidationError", f"bound vectors have different lengths {len(lo)} and {len(up)}")
+    for i, (a, b) in enumerate(zip(lo, up), start=1):
+        if a > b:
+            return ("ValidationError", f"vertex {i}: lower bound {a} exceeds upper bound {b}")
+    return ("interval", lo, up)
+
+
+def ref_fmt_list(items):
+    """A result list as the CLI prints it: entries joined by commas, `-` for
+    None or an empty list."""
+    return ",".join(map(str, items)) if items else "-"
+
+
+def ref_layout(rows, format):
+    """Rows of cells laid out: tab-separated for `delimited`; for `table`,
+    two spaces apart, each cell but a row's last padded to its column's
+    widest cell."""
+    if format == "delimited":
+        return "".join("\t".join(row) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n" for row in rows
+    )

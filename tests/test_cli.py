@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import golden_defs
+import oracles
+import rwis
 from rwis import (
     DiscreteScenarioSet, RwisError, cli, core, errors, fileformat, gen, parse_instance, robust,
     write_instance,
@@ -297,13 +300,96 @@ class TestSingleTypeScan:
             scanned.append(len(xs))
             return real(xs)
 
-        monkeypatch.setattr(core, "_all_ints", counting)
-        monkeypatch.setattr(fileformat, "_all_ints", counting)
+        # every module that binds the scan, so that a call through an
+        # imported name (`from .core import _all_ints`) is counted too
+        for info in pkgutil.iter_modules(rwis.__path__):
+            importlib.import_module(f"rwis.{info.name}")
+        binders = [module for name, module in sys.modules.items()
+                   if name.startswith("rwis.") and vars(module).get("_all_ints") is real]
+        assert core in binders and fileformat in binders
+        for module in binders:
+            monkeypatch.setattr(module, "_all_ints", counting)
         code, _, err = run(
             capsys, "solve", str(GOLDEN / path), "--problem", problem, "--algorithm", algorithm
         )
         assert (code, err) == (0, "")
         assert len(scanned) == scans, scanned
+
+
+# the solve and evaluate lines the path spellings are run through
+PATH_COMMANDS = {
+    "solve": ("--problem", "regret", "--algorithm", "midpoint"),
+    "evaluate": ("--problem", "regret", "--solution", "1"),
+}
+
+
+class TestPathSpellings:
+    """solve and evaluate read a path as pathlib spells it: a trailing
+    slash, a doubled slash and a `.` component name the same file, whose
+    stem is the instance id; a missing or directory path keeps its line."""
+
+    @pytest.fixture
+    def in_tmp(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "x.json").write_bytes((GOLDEN / "tight_midpoint.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("spelling", ["d/x.json/", "./d//x.json", "d/./x.json"])
+    @pytest.mark.parametrize("command", PATH_COMMANDS)
+    def test_spellings_print_the_same_bytes(self, capsys, in_tmp, command, spelling):
+        expected = run(capsys, command, "d/x.json", *PATH_COMMANDS[command])
+        assert expected[0] == 0 and _fields(expected[1])["instance"] == "x"
+        assert run(capsys, command, spelling, *PATH_COMMANDS[command]) == expected
+
+    @pytest.mark.parametrize("spelling,line", [
+        ("nope//a.json",
+         "error: cannot read nope/a.json: [Errno 2] No such file or directory: 'nope/a.json'\n"),
+        ("", "error: cannot read .: [Errno 21] Is a directory: '.'\n"),
+        ("d", "error: cannot read d: [Errno 21] Is a directory: 'd'\n"),
+        ("d/", "error: cannot read d: [Errno 21] Is a directory: 'd'\n"),
+    ], ids=["missing", "empty", "directory", "directory-slash"])
+    @pytest.mark.parametrize("command", PATH_COMMANDS)
+    def test_unreadable_paths_keep_their_line(self, capsys, in_tmp, command, spelling, line):
+        assert run(capsys, command, spelling, *PATH_COMMANDS[command]) == (10, "", line)
+
+
+# cells for the layout differential: empty, spaces, tabs, wide and non-ASCII
+LAYOUT_CELLS = ("", " ", "a", "ab c", "x\ty", "\t", "trailing  ", "  lead", "1,2,3",
+                "wide-cell-" * 3, "\u00e9\u00e9", "-")
+
+
+class TestRenderDifferential:
+    """_layout and _fmt_list against today's formulations in oracles."""
+
+    @pytest.mark.parametrize("format", ["table", "delimited"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_layout_matches_the_reference(self, format, seed):
+        rng = random.Random(seed)
+        shapes = set()
+        for _ in range(2_000):
+            width, height = rng.randint(1, 7), rng.randint(1, 6)
+            rows = [[rng.choice(LAYOUT_CELLS) for _ in range(width)] for _ in range(height)]
+            if rng.random() < 0.5:  # callers pass lists of tuples too
+                rows = list(map(tuple, rows))
+            assert cli._layout(rows, format) == oracles.ref_layout(rows, format), rows
+            shapes.add((min(width, 2), min(height, 2)))
+        # one and several columns, one and several rows
+        assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+    @pytest.mark.parametrize("items", [
+        None, (), (0,), (7,), (0, 1, 2), tuple(range(5_000)),
+        (10**(DIGIT_LIMIT - 1), 0), (3, 10**DIGIT_LIMIT - 1),
+    ], ids=["none", "empty", "zero", "one", "three", "many", "at-the-digit-limit-first",
+            "at-the-digit-limit-last"])
+    def test_fmt_list_matches_the_reference(self, items):
+        assert cli._fmt_list(items) == oracles.ref_fmt_list(items)
+
+    def test_fmt_list_keeps_the_digit_limit(self):
+        items = (1, 10**DIGIT_LIMIT)
+        with pytest.raises(ValueError):
+            oracles.ref_fmt_list(items)
+        with pytest.raises(ValueError):
+            cli._fmt_list(items)
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import enum
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,16 @@ from rwis import (
 )
 from rwis.fileformat import instance_from_dict
 
+import oracles
+
 
 class Small(enum.IntEnum):
     ONE = 1
+
+
+class Signed(enum.IntEnum):
+    MINUS = -2
+    TWO = 2
 
 
 @st.composite
@@ -170,6 +178,93 @@ class TestColumnConstructors:
             assert type(scen.scenarios) is tuple
             assert all(type(row) is tuple for row in scen.scenarios)
             assert repr(scen) == repr(DiscreteScenarioSet(rows))
+
+
+def _model_outcome(lower, upper):
+    """IntervalUncertainty(lower, upper) in oracles.ref_interval_uncertainty's
+    form; a model also has its columns' and entries' types checked."""
+    try:
+        u = IntervalUncertainty(lower, upper)
+    except Exception as exc:  # the exact type is part of the result compared
+        return (type(exc).__name__, str(exc))
+    assert type(u.lower) is type(u.upper) is tuple
+    return ("interval", u.lower, u.upper)
+
+
+# entries besides the small nonnegative ints most columns are drawn from
+ODD_BOUNDS = (-1, -4, True, False, Small.ONE, Signed.MINUS, Signed.TWO, 2**70, 1.0, "3", None)
+# one phrase of each refusal the differential must meet
+BOUND_REFUSALS = ("lower bounds must contain", "lower bounds must be nonnegative",
+                  "upper bounds must contain", "upper bounds must be nonnegative",
+                  "different lengths", "exceeds")
+
+
+def _random_bounds(rng):
+    """A lower and an upper list, mostly lower <= upper entrywise, and the
+    shape (list, tuple or iterator) to hand them to the constructor in."""
+    odd = rng.choice((0.0, 0.05, 0.2))
+    lower = [rng.choice(ODD_BOUNDS) if rng.random() < odd else rng.randint(0, 5)
+             for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.7:
+        upper = [x + rng.randint(-1, 3) if type(x) is int else x for x in lower]
+        if upper and rng.random() < 0.3:
+            upper[rng.randrange(len(upper))] = rng.choice(ODD_BOUNDS)
+        if rng.random() < 0.15:
+            upper = upper[:-1] if upper and rng.random() < 0.5 else upper + [rng.randint(0, 5)]
+    else:
+        upper = [rng.choice(ODD_BOUNDS) if rng.random() < odd else rng.randint(0, 5)
+                 for _ in range(rng.randint(0, 5))]
+    return lower, upper, rng.choice((list, tuple, iter))
+
+
+class TestIntervalUncertaintyDifferential:
+    """The range model's constructor against its checks written out in
+    order (oracles.ref_interval_uncertainty): the same model, or the same
+    exception type and message, whichever path the constructor takes."""
+
+    @pytest.mark.parametrize("lower,upper", [
+        ((0, 1, 2), (0, -1, 5)),
+        ((3, 0), (3, -7)),
+        ((0, 1), (-1, 1)),
+        ((1, 2, 3), (-1, 5)),
+        ((1, -2, 3), (4, 5)),
+        ((2,), (1, 2)),
+        ((True, 1), (2, 2)),
+        ((1, 1), (False, 2)),
+        ((Small.ONE, 0), (Small.ONE, 4)),
+        ((0, 0), (Small.ONE, Small.ONE)),
+        ((Signed.TWO, Signed.MINUS), (3, 3)),
+        ((0, 5, 7), (1, 4, 6)),
+        ((0, 5, 7), (1, 4, -6)),
+        ((), ()),
+        ((2**70,), (2**70 + 1,)),
+        ((-1,), 5),
+        ((1,), 5),
+    ], ids=["negative-upper-nonnegative-lower", "negative-upper-last",
+            "negative-upper-first", "unequal-lengths-negative-upper",
+            "unequal-lengths-negative-lower", "unequal-lengths",
+            "bool-lower", "bool-upper", "int-enum", "int-enum-upper", "negative-int-enum",
+            "lower-above-upper", "negative-upper-before-order", "empty", "beyond-64-bits",
+            "negative-lower-before-non-iterable-upper", "non-iterable-upper"])
+    def test_named_columns(self, lower, upper):
+        assert _model_outcome(lower, upper) == oracles.ref_interval_uncertainty(lower, upper)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_columns_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        kinds = set()
+        for _ in range(5_000):
+            lower, upper, shape = _random_bounds(rng)
+            expected = oracles.ref_interval_uncertainty(lower, upper)
+            got = _model_outcome(shape(lower), shape(upper))
+            assert got == expected, (lower, upper, shape)
+            if got[0] == "interval":  # IntEnum entries are kept as given
+                assert [*map(type, got[1] + got[2])] == [*map(type, lower + upper)]
+                kinds.add("interval")
+            else:
+                kinds.add(next(key for key in BOUND_REFUSALS if key in got[1]))
+        # models were built, and every kind of refusal occurred
+        assert kinds == {"interval", *BOUND_REFUSALS}
 
 
 class TestWorstCaseScenario:
