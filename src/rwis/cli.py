@@ -15,7 +15,6 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -194,14 +193,15 @@ def _fmt_value(value: int) -> str:
 
 
 def _layout(rows: Sequence[Sequence[str]], format: str) -> str:
-    """One or more rows of cells, all of one length, as text: tab-separated
-    for `delimited`; for `table`, two spaces apart with every column but the
-    last padded to its widest cell, so a cell's own trailing spaces are kept."""
+    """Rows of cells as text: tab-separated for `delimited`; for `table`,
+    two spaces apart with every column but the last padded to its widest
+    cell, so a cell's own trailing spaces are kept."""
     if format == "delimited":
-        return "\n".join(map("\t".join, rows)) + "\n"
-    *columns, last = zip(*rows)
-    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in columns]
-    return "\n".join(map("  ".join, zip(*padded, last))) + "\n"
+        return "".join("\t".join(row) + "\n" for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n" for row in rows
+    )
 
 
 def _instance_id(path: Path, instance: Instance) -> str:
@@ -222,7 +222,6 @@ def _check_epsilon(eps: Fraction | float | None) -> None:
 
 def _write_result(
     args: argparse.Namespace,
-    path: Path,
     instance: Instance,
     algorithm: str,
     value: int,
@@ -234,7 +233,7 @@ def _write_result(
     """Print one result's fields in the --format layout; wall_ms, when
     given, is the last field."""
     fields = [
-        ("instance", _instance_id(path, instance)),
+        ("instance", _instance_id(Path(args.instance), instance)),
         ("problem", args.problem),
         ("algorithm", algorithm),
         ("value", _fmt_value(value)),
@@ -253,8 +252,7 @@ def _write_result(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_epsilon(args.epsilon)
-    path = Path(args.instance)
-    instance = parse_instance(path)
+    instance = parse_instance(args.instance)
     start = time.perf_counter()
     value, members, witness = dispatch_solve(
         instance,
@@ -266,7 +264,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     return _write_result(
-        args, path, instance, args.algorithm, value, members, witness,
+        args, instance, args.algorithm, value, members, witness,
         epsilon=args.epsilon, wall_ms=wall_ms if args.timings else None,
     )
 
@@ -287,8 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     det and maxmin score it over one scenario set: the instance's own, or
     the lower bounds for ranges (the worst case of every solution).
     """
-    path = Path(args.instance)
-    instance = parse_instance(path)
+    instance = parse_instance(args.instance)
     members = _parse_solution_arg(args.solution)
     fam, u = instance.family, instance.uncertainty
     discrete = isinstance(u, DiscreteScenarioSet)
@@ -301,7 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _deterministic_vector(instance)  # refuses an uncertain instance
         scen = u if discrete else DiscreteScenarioSet((u.lower,))
         value, witness = robust.max_min_value(fam, scen, members), None
-    return _write_result(args, path, instance, "evaluate", value, members, witness)
+    return _write_result(args, instance, "evaluate", value, members, witness)
 
 
 def _parse_edges_arg(text: str) -> list[tuple[int, int]]:

@@ -177,11 +177,10 @@ def parse_instance_text(text: str, source: str = "<string>") -> Instance:
 
 
 def parse_instance(path: str | Path) -> Instance:
-    """Read and validate an instance file.  A Path is used as given."""
-    p = path if isinstance(path, Path) else Path(path)
+    """Read and validate an instance file."""
+    p = Path(path)
     try:
-        with open(p, encoding="utf-8") as f:  # what Path.read_text does
-            text = f.read()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from operator import add, le
 from typing import Iterable, Iterator
 
-from . import core
 from .core import (
     IntervalFamily,
     _is_int,
@@ -62,27 +61,20 @@ class IntervalUncertainty:
     upper: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Plain ints pass with one type scan per column and no sign check of
-        # upper: lower >= 0 and lower <= upper make upper nonnegative.  Any
-        # other column runs the ordered checks: lower's types and signs,
-        # then upper's, then the lengths, then the first lower > upper.
-        lo = tuple(self.lower)
-        if not (core._all_ints(lo) and (not lo or min(lo) >= 0)):
-            lo = _check_vector(lo, "lower bounds")
-        up = tuple(self.upper)
-        if not (len(lo) == len(up) and core._all_ints(up) and all(map(le, lo, up))):
-            up = _check_vector(up, "upper bounds")
-            if len(lo) != len(up):
-                raise ValidationError(
-                    f"bound vectors have different lengths {len(lo)} and {len(up)}"
-                )
+        lo = _check_vector(self.lower, "lower bounds")
+        up = _check_vector(self.upper, "upper bounds")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
+        if len(lo) != len(up):
+            raise ValidationError(
+                f"bound vectors have different lengths {len(lo)} and {len(up)}"
+            )
+        if not all(map(le, lo, up)):
             for i, (a, b) in enumerate(zip(lo, up), start=1):
                 if a > b:
                     raise ValidationError(
                         f"vertex {i}: lower bound {a} exceeds upper bound {b}"
                     )
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
 
     @property
     def n(self) -> int:

@@ -647,14 +647,3 @@ def ref_fmt_list(items):
     None or an empty list."""
     return ",".join(map(str, items)) if items else "-"
 
-
-def ref_layout(rows, format):
-    """Rows of cells laid out: tab-separated for `delimited`; for `table`,
-    two spaces apart, each cell but a row's last padded to its column's
-    widest cell."""
-    if format == "delimited":
-        return "".join("\t".join(row) + "\n" for row in rows)
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join(
-        "  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n" for row in rows
-    )

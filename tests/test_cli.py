@@ -353,28 +353,8 @@ class TestPathSpellings:
         assert run(capsys, command, spelling, *PATH_COMMANDS[command]) == (10, "", line)
 
 
-# cells for the layout differential: empty, spaces, tabs, wide and non-ASCII
-LAYOUT_CELLS = ("", " ", "a", "ab c", "x\ty", "\t", "trailing  ", "  lead", "1,2,3",
-                "wide-cell-" * 3, "\u00e9\u00e9", "-")
-
-
 class TestRenderDifferential:
-    """_layout and _fmt_list against today's formulations in oracles."""
-
-    @pytest.mark.parametrize("format", ["table", "delimited"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_layout_matches_the_reference(self, format, seed):
-        rng = random.Random(seed)
-        shapes = set()
-        for _ in range(2_000):
-            width, height = rng.randint(1, 7), rng.randint(1, 6)
-            rows = [[rng.choice(LAYOUT_CELLS) for _ in range(width)] for _ in range(height)]
-            if rng.random() < 0.5:  # callers pass lists of tuples too
-                rows = list(map(tuple, rows))
-            assert cli._layout(rows, format) == oracles.ref_layout(rows, format), rows
-            shapes.add((min(width, 2), min(height, 2)))
-        # one and several columns, one and several rows
-        assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    """_fmt_list against the join-of-str formulation in oracles."""
 
     @pytest.mark.parametrize("items", [
         None, (), (0,), (7,), (0, 1, 2), tuple(range(5_000)),
