@@ -3,17 +3,19 @@
 The exact solvers for discrete scenario sets run a Pareto-frontier dynamic
 program over the right-endpoint order: each state is the vector of per-scenario
 accumulated weights, and dominated vectors are pruned.  Both robust objectives
-are monotone in those vectors, so pruning is lossless.  The scaling schemes
+are monotone in those vectors, so pruning is lossless.  Once a level grows,
+vectors that cannot beat the K-approximation's set are discarded as well,
+with the same result.  The scaling schemes
 reduce the weight range so the same DP runs in time polynomial in n and 1/ε.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, and_, lshift, neg, or_, rshift, sub
 from typing import Callable, Iterable, Sequence
 
@@ -24,6 +26,14 @@ from .scenarios import DiscreteScenarioSet, IntervalUncertainty, _worst_case_sce
 
 DEFAULT_FRONTIER_CAP = 5_000_000
 FRONTIER_CAP_ENV_VAR = "RWIS_FRONTIER_CAP"
+
+# A frontier level above this many vectors switches on the incumbent prune of
+# the exact solvers (see _frontier_levels).  Chosen by timing the solvers on
+# the frontier-k3 and scaling-k2 workloads' instances: a lower trigger cuts
+# more of the K=2 n=120 levels, but the K=3 n=26 instances whose levels pass
+# 48 ran 4% slower at 48, since their thresholds cost more than the vectors
+# they remove, and all of frontier-k3 a fifth slower with every level cut.
+_PRUNE_AT = 64
 
 
 def resolve_frontier_cap(cap: int | None) -> int:
@@ -256,11 +266,28 @@ def _pareto_max(vecs: list[int], k: int, bits: int) -> list[int]:
     return kept
 
 
+def _level_cuts(
+    fam: IntervalFamily,
+    columns: Sequence[Sequence[int]],
+    floors: Sequence[int],
+    bits: int,
+) -> list[int]:
+    """The packed thresholds t[pos] of the incumbent prune, pos = 0..n: field
+    k holds max(0, floors[k] - rest_k[pos]), rest_k from core._completions
+    on columns[k]."""
+    cuts = [0] * (len(fam) + 1)
+    for col, floor in zip(columns, floors):
+        rest = core._completions(fam, col)[1]
+        cuts = [(t << bits) + (floor - r if floor > r else 0) for t, r in zip(cuts, rest)]
+    return cuts
+
+
 def _frontier_levels(
     fam: IntervalFamily,
     columns: Sequence[Sequence[int]],
     cap: int | None,
     sat: int | None = None,
+    floors: Callable[[], Sequence[int]] | None = None,
 ):
     """Run the frontier DP; keep every level for witness backtracking.
 
@@ -268,9 +295,11 @@ def _frontier_levels(
     descending list of packed vectors described above; all n+1 levels are
     built.  With `sat` set, additions saturate at that value per coordinate.
     `cap` goes through resolve_frontier_cap here, the one place every
-    frontier solver reaches.  Returns (levels, order, preds, bits, packed),
-    packed[i] being vertex i+1's packed weight vector; _unpack(vecs, K,
-    bits) decodes a list of vectors, one shift-and-mask pass per field.
+    frontier solver reaches, and is checked against each level as stored.
+    `floors`, given only without sat, switches on the incumbent prune below.
+    Returns (levels, order, preds, bits, packed), packed[i] being vertex
+    i+1's packed weight vector; _unpack(vecs, K, bits) decodes a list of
+    vectors, one shift-and-mask pass per field.
 
     Layout.  A vector x is the int sum of x_k << (bits * (K - k)) over
     k = 1..K, with bits from _field_bits.  Every coordinate the DP forms is
@@ -313,6 +342,39 @@ def _frontier_levels(
     the shifted list unchanged, so it is not called, and the shortcut above
     still fires.  At K >= 3 no field order holds along the level, and
     _saturate scans it.
+
+    Incumbent prune.  floors() returns a vector f such that a set's vector
+    y reaches f (y_k >= f_k for every k) exactly when the set scores at
+    least as well as a real set the caller holds, the incumbent; so every
+    optimum reaches f (see the solvers).  A vector x of level pos comes
+    from a set among the first pos intervals, and whatever it takes later
+    lies among positions >= pos, worth at most rest_k[pos] in scenario k.
+    So every prefix of a set reaching f passes the test
+    x_k >= f_k - rest_k[pos] for all k, and a vector failing it leads to no
+    such set.  Once a level first holds
+    more than _PRUNE_AT vectors, f and the packed thresholds of _level_cuts
+    are built, and from that level on only passing vectors are kept: at
+    K <= 2 a level is a strict staircase (first field falling, last
+    rising), so the passing vectors form one slice found by two
+    bisections; at K >= 3 x passes when ((x | H) - t) & H == H, the
+    guard-bit test of _pareto_max with the thresholds packed into t.  Small
+    levels cost less to keep than to test, hence the trigger.  The cap
+    counts the stored, cut level, so a pruned run refuses less often.
+
+    Why a pruned run returns the same answer.  By induction over skip and
+    take, each pruned level holds a vector >= the prefix vector of every
+    set reaching f: the prefix passes, and so does any vector above it.
+    Each pruned level is an antichain of reachable vectors, so the final
+    pruned level is exactly the unpruned one restricted to passing vectors.
+    Every vector scoring at least as well as the incumbent passes there,
+    optima and their ties included, so the same final vector is selected.
+    The value backtrack of _frontier_best asks only whether a path vector v
+    of the optimum is in level pos-1.  If v is in the unpruned level pos-1,
+    the pruned one holds a vector >= v, which is v, since v is maximal at
+    level pos; so v stays.  If not, a vector of the pruned level pos-1
+    equal to v would be dominated at level pos by a strictly larger
+    unpruned vector, against v's maximality; so the answer is again no, and
+    the walk takes the same members, vector by vector.
     """
     cap = resolve_frontier_cap(cap)
     order, preds, _ = core._prepared(fam)
@@ -322,6 +384,8 @@ def _frontier_levels(
     for col in columns:
         packed = list(map(add, map(lshift, packed, repeat(bits)), col))
     mask = (1 << bits) - 1
+    guards = _guards(k, bits)
+    cuts = None
     levels = [[0]]
     for pos in range(1, len(fam) + 1):
         pred = preds[pos - 1]
@@ -339,6 +403,21 @@ def _frontier_levels(
             merged = levels[pos - 1] + vecs
             merged.sort(reverse=True)
             vecs = _pareto_max(merged, k, bits)
+        if cuts is None and floors is not None and len(vecs) > _PRUNE_AT:
+            cuts = _level_cuts(fam, columns, floors(), bits)
+        if cuts is not None:
+            t = cuts[pos]
+            if k <= 2:
+                # x_1 >= t_1 on a prefix, x_K >= t_K on a suffix; at K=1 the
+                # first test reads 0 >= 0
+                end = bisect_right(vecs, -(t >> bits << bits), key=neg)
+                vecs = vecs[bisect_left(vecs, t & mask, 0, end, key=mask.__and__):end]
+            else:
+                # (x | H) - t is x + (H - t), a stored x having no guard bit set
+                lift = guards - t
+                vecs = list(compress(vecs, map(
+                    guards.__eq__, map(and_, map(add, vecs, repeat(lift)), repeat(guards))
+                )))
         if len(vecs) > cap:
             raise FrontierCapError(
                 f"frontier size {len(vecs)} exceeds cap {cap} at interval {pos}"
@@ -353,6 +432,7 @@ def _frontier_best(
     cap: int | None,
     score: Callable[[tuple[int, ...]], int],
     sat: int | None = None,
+    floors: Callable[[], Sequence[int]] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run the frontier DP and backtrack from the final vector of least score.
 
@@ -377,7 +457,7 @@ def _frontier_best(
       exactly when that field is sat, as no stored field exceeds sat.
       Without sat, reach is 0 and a stored vector has no guard bit set.
     """
-    levels, order, preds, bits, packed = _frontier_levels(fam, columns, cap, sat)
+    levels, order, preds, bits, packed = _frontier_levels(fam, columns, cap, sat, floors)
     k = len(columns)
     final = _unpack(levels[-1], k, bits)
     vec = min(reversed(final), key=score)  # ascending: ties go to the smallest
@@ -401,6 +481,21 @@ def _frontier_best(
         else:
             v -= w
     return tuple(sorted(members)), vec
+
+
+def _kapprox_set(fam: IntervalFamily, scen: DiscreteScenarioSet) -> tuple[int, ...]:
+    """The K-approximation's set: the DP optimum of the summed scenarios.
+    Its value under each objective is the incumbent of the pruned solvers."""
+    return core._max_weight_is(fam, scenarios._surrogate_discrete(scen))[0]
+
+
+def _regret_floors(
+    consts: Sequence[int], columns: Sequence[Sequence[int]], members: tuple[int, ...]
+) -> list[int]:
+    """Floors c_k - U of the regret prune, U the regret of members under
+    columns: a set reaches them exactly when its regret is at most U."""
+    u = max(c - sum(col[i - 1] for i in members) for c, col in zip(consts, columns))
+    return [c - u for c in consts]
 
 
 def _neg_min(vec: tuple[int, ...]) -> int:
@@ -437,10 +532,20 @@ def solve_max_min_exact(
     The optimal value is the largest minimum component over frontier vectors;
     a witness set is recovered by backtracking (deterministic: ties on the
     objective pick the lexicographically smallest vector, and equal vectors
-    prefer skipping later intervals).
+    prefer skipping later intervals).  Past a small size a level keeps only
+    vectors that can still reach the worst-case value of the K-approximation's
+    set (see _frontier_levels): the answer is the full frontier's, and the
+    cap counts each level after that cut.
     """
     _require_same_size(fam, scen.n)
-    members, vec = _frontier_best(fam, scen.scenarios, cap, _neg_min)
+
+    def floors() -> list[int]:
+        # a set scores at least the incumbent's value exactly when every
+        # coordinate of its vector does
+        members = _kapprox_set(fam, scen)
+        return [min(sum(s[i - 1] for i in members) for s in scen.scenarios)] * scen.k
+
+    members, vec = _frontier_best(fam, scen.scenarios, cap, _neg_min, floors=floors)
     return members, min(vec)
 
 
@@ -452,10 +557,17 @@ def solve_regret_discrete_exact(
     With c_k the deterministic optimum under scenario k, the regret of a
     frontier vector x is max_k (c_k - x_k), which is non-increasing in every
     coordinate, so restricting attention to Pareto-maximal vectors is sound.
+    Past a small size a level keeps only vectors that can still end at a
+    regret no larger than the K-approximation's (see _frontier_levels): the
+    answer is the full frontier's, and the cap counts each level after that
+    cut.
     """
     _require_same_size(fam, scen.n)
     consts = _optima(fam, scen)
-    members, vec = _frontier_best(fam, scen.scenarios, cap, _regret_score(consts))
+    members, vec = _frontier_best(
+        fam, scen.scenarios, cap, _regret_score(consts),
+        floors=lambda: _regret_floors(consts, scen.scenarios, _kapprox_set(fam, scen)),
+    )
     return _regret_report(scen, consts, members, vec)
 
 
@@ -717,20 +829,23 @@ def fptas_regret_discrete(
     any solution's regret by at most t*(n+1) <= eps*L <= eps*opt, so the
     frontier-DP minimizer of the scaled regret meets the guarantee.  Its
     exact regret is reported.  The approximation, the scaled constants and
-    the final evaluation share one computation of the scenario optima.
+    the final evaluation share one computation of the scenario optima.  The
+    scaled run cuts its larger levels against the approximation's scaled
+    regret (see _frontier_levels), with the result of the uncut run.
     """
     _require_same_size(fam, scen.n)
     e = _as_positive_fraction(eps)
     n = len(fam)
     consts = _optima(fam, scen)
-    base = _regret_report(
-        scen, consts, core._max_weight_is(fam, scenarios._surrogate_discrete(scen))[0]
-    )
+    base = _regret_report(scen, consts, _kapprox_set(fam, scen))
     if base.regret_value == 0 or n == 0:
         return base
     t = e * base.regret_value / (scen.k * (n + 1))
     num, den = t.numerator, t.denominator
     scaled_consts = [-(-c * den // num) for c in consts]
     scaled = [[w * den // num for w in s] for s in scen.scenarios]
-    members, _ = _frontier_best(fam, scaled, cap, _regret_score(scaled_consts))
+    members, _ = _frontier_best(
+        fam, scaled, cap, _regret_score(scaled_consts),
+        floors=lambda: _regret_floors(scaled_consts, scaled, base.solution),
+    )
     return _regret_report(scen, consts, members)

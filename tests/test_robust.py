@@ -1,6 +1,7 @@
 import functools
 import gc
 import importlib
+import operator
 import pkgutil
 import random
 import re
@@ -1704,3 +1705,143 @@ class TestDecoderAndK2Saturation:
         assert fptas_max_min(fam, scen, Fraction(1, 2)) == oracles.ref_fptas_max_min(
             fam, scen, Fraction(1, 2)
         )
+
+
+# ---------------------------------------------------------------------------
+# Incumbent prune of the exact discrete solvers and the regret FPTAS
+
+PRUNE_EPS = (Fraction(1, 2), Fraction(1, 10))
+
+
+@functools.cache
+def prune_cases():
+    """Seeded instances with the unpruned references' answers: K=1..8 with
+    w <= 20, ties (w <= 2) at K=2..6, and K=2 n=120 with w <= 10**6.  Each
+    case is (family, scenarios, max-min, (members, regret, witness), the
+    regret FPTAS members per epsilon in PRUNE_EPS)."""
+    rng = random.Random(3131)
+    # (k, smallest n, largest n, w_max, instances)
+    shapes = [(k, 1, n, 20, 25) for k, n in zip(range(1, 9), (40, 40, 26, 24, 22, 20, 20, 20))]
+    shapes += [(k, 1, 30 if k <= 4 else 24, 2, 20) for k in range(2, 7)]
+    shapes += [(2, 120, 120, 10**6, 20)]
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        # c_k by the left-endpoint scan: brute_opt enumerates all 2^n sets
+        mp.setattr(oracles, "brute_opt", oracles.left_scan_opt)
+        for k, n_min, n_max, w_max, count in shapes:
+            for _ in range(count):
+                inst = gen_random(
+                    n=rng.randint(n_min, n_max),
+                    model="discrete",
+                    k=k,
+                    w_max=w_max,
+                    density=rng.choice([0.3, 0.5, 0.7]),
+                    seed=rng.randrange(1 << 30),
+                )
+                fam, scen = inst.family, inst.uncertainty
+                cases.append((
+                    fam,
+                    scen,
+                    oracles.ref_max_min_exact(fam, scen),
+                    oracles.ref_regret_discrete_exact(fam, scen),
+                    [oracles.ref_fptas_regret_discrete(fam, scen, eps) for eps in PRUNE_EPS],
+                ))
+    return cases
+
+
+@pytest.fixture
+def stored_levels(monkeypatch):
+    """The levels of every robust._frontier_levels call, in order."""
+    runs = []
+    real = robust._frontier_levels
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(robust, "_frontier_levels", recording)
+    return runs
+
+
+def stored_counts(levels):
+    """(vectors stored over all levels, vectors in the largest level)."""
+    return sum(map(len, levels)), max(map(len, levels))
+
+
+# Stored vectors (sum over levels, peak level) of one pruned run of each exact
+# solver, instances gen_random(n, "discrete", k, w_max=20, density=0.5, seed):
+# (k, n, seed): (regret sum, regret peak, max-min sum, max-min peak).  Each
+# bound is the count measured when it was set; a change that lowers a count
+# lowers its bound.  Unpruned, both solvers store 7,667 / 4,650 / 23,410
+# vectors at K=4 n=60 seeds 0-2, with peak levels of 432 / 201 / 1,416.
+REACH_PINS = {
+    (4, 60, 0): (2525, 93, 845, 57),
+    (4, 60, 1): (1647, 68, 2553, 83),
+    (4, 60, 2): (3068, 141, 6744, 404),
+    (6, 40, 0): (873, 60, 2924, 231),
+    (6, 40, 1): (914, 62, 1174, 80),
+    (6, 40, 2): (1138, 79, 4319, 423),
+    (8, 40, 0): (1795, 149, 934, 69),
+    (8, 40, 1): (2558, 309, 6652, 587),
+}
+
+
+class TestIncumbentPrune:
+    @pytest.mark.parametrize("trigger", [0, robust._PRUNE_AT], ids=["every-level", "shipped"])
+    def test_pruned_solvers_match_unpruned_references(self, monkeypatch, trigger):
+        monkeypatch.setattr(robust, "_PRUNE_AT", trigger)
+        cut_runs = []
+        real = robust._level_cuts
+
+        def counting(*args):
+            cut_runs.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(robust, "_level_cuts", counting)
+        for fam, scen, max_min, regret, fptas in prune_cases():
+            assert solve_max_min_exact(fam, scen) == max_min
+            report = solve_regret_discrete_exact(fam, scen)
+            assert (report.solution, report.regret_value, report.witness_scenario) == regret
+            for eps, members in zip(PRUNE_EPS, fptas):
+                report = fptas_regret_discrete(fam, scen, eps)
+                if members is not None:
+                    assert report == max_regret_discrete(fam, scen, members)
+        ks = {len(columns) for columns in cut_runs}
+        if trigger == 0:
+            assert len(cut_runs) >= 1000 and ks == set(range(1, 9))
+        else:
+            # the shipped trigger still cuts: the K=2 n=120 cases, and the
+            # larger levels at K >= 4
+            assert len(cut_runs) >= 60 and {2, 4, 6, 8} <= ks
+
+    @pytest.mark.parametrize("k, n, seed", sorted(REACH_PINS))
+    def test_reach_pins(self, stored_levels, k, n, seed):
+        inst = gen_random(n=n, model="discrete", k=k, w_max=20, density=0.5, seed=seed)
+        solve_regret_discrete_exact(inst.family, inst.uncertainty)
+        solve_max_min_exact(inst.family, inst.uncertainty)
+        regret, max_min = map(stored_counts, stored_levels)
+        counts = regret + max_min
+        assert all(map(operator.le, counts, REACH_PINS[k, n, seed])), counts
+
+    def test_cap_counts_the_stored_cut_level(self, stored_levels):
+        inst = gen_random(n=60, model="discrete", k=4, w_max=20, density=0.5, seed=1)
+        fam, scen = inst.family, inst.uncertainty
+        _, full_peak = stored_counts(robust._frontier_levels(fam, scen.scenarios, None)[0])
+        with pytest.raises(
+            FrontierCapError,
+            match=rf"^frontier size {full_peak} exceeds cap {full_peak - 1} at interval \d+$",
+        ):
+            pareto_frontier(fam, scen, cap=full_peak - 1)
+        for solve in (solve_max_min_exact, solve_regret_discrete_exact):
+            stored_levels.clear()
+            answer = solve(fam, scen)
+            (levels,) = stored_levels
+            _, peak = stored_counts(levels)
+            assert robust._PRUNE_AT < peak < full_peak
+            with pytest.raises(
+                FrontierCapError,
+                match=rf"^frontier size {peak} exceeds cap {peak - 1} at interval \d+$",
+            ):
+                solve(fam, scen, cap=peak - 1)
+            assert solve(fam, scen, cap=peak) == answer
